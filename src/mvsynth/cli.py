@@ -8,9 +8,10 @@ eval   --term FILE --point "r1,r2,..."
 check  --left FILE --right FILE --vars N
 
 Exit codes: 0 success (check: functions equal), 1 check found a
-difference, 2 malformed input, 3 invalid description / bad evaluation
-domain, 4 membership-search cap exceeded.  Results go to stdout,
-diagnostics to stderr; all output is deterministic.
+difference, 2 malformed input (including a file that is not UTF-8 text,
+or --cap below 1), 3 invalid description / bad evaluation domain, 4
+membership-search cap exceeded.  Results go to stdout, diagnostics to
+stderr; all output is deterministic.
 
 Description files are JSON: ``{"vars": n, "expr": NODE}`` where NODE is
 ``{"affine": {"constant": INT, "coeffs": [INT x n]}}``, ``{"min": [NODE,
@@ -126,9 +127,11 @@ def _fail(message: str, code: int) -> int:
 
 
 def _run_synth(args) -> int:
+    if args.cap < 1:
+        return _fail("error: --cap must be >= 1", EXIT_MALFORMED)
     try:
         arity, description = load_description(args.input)
-    except (DescriptionError, OSError) as ex:
+    except (DescriptionError, OSError, UnicodeDecodeError) as ex:
         return _fail(f"error: {ex}", EXIT_MALFORMED)
     trace = SynthesisTrace()
     try:
@@ -172,7 +175,7 @@ def _run_eval(args) -> int:
     try:
         with open(args.term, "r", encoding="utf-8") as fh:
             term = parse_term(fh.read())
-    except (TermSyntaxError, OSError) as ex:
+    except (TermSyntaxError, OSError, UnicodeDecodeError) as ex:
         return _fail(f"error: {ex}", EXIT_MALFORMED)
     try:
         coords = [Fraction(tok) for tok in args.point.split(",")] if args.point else []
@@ -212,7 +215,7 @@ def _run_check(args) -> int:
     try:
         left = _load_side(args.left, args.vars)
         right = _load_side(args.right, args.vars)
-    except (DescriptionError, TermSyntaxError, OSError) as ex:
+    except (DescriptionError, TermSyntaxError, OSError, UnicodeDecodeError) as ex:
         return _fail(f"error: {ex}", EXIT_MALFORMED)
     if isinstance(left, PwlExpr) and isinstance(right, PwlExpr):
         verdict = decide_eq(left, right)
@@ -248,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=DEFAULT_CAP,
-        help=f"membership search cap (default {DEFAULT_CAP})",
+        help=f"membership search cap, at least 1 (default {DEFAULT_CAP})",
     )
     p_synth.set_defaults(run=_run_synth)
 

@@ -2,9 +2,10 @@
 
 Affine forms with rational coefficients, polytopes given by ``form <= 0``
 constraints (the cube bounds ``0 <= x_i <= 1`` are always implicit), an
-exact two-phase simplex with Bland's rule, interior-point computation via
-a uniform-slack program, and sign-branching cell enumeration for finite
-form families.  Everything is deterministic and float-free.
+exact two-phase simplex with Bland's rule on a fraction-free integer
+tableau, interior-point computation via a uniform-slack program, and
+sign-branching cell enumeration for finite form families.  Everything is
+deterministic and float-free.
 """
 
 from __future__ import annotations
@@ -13,11 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
-
-try:  # gmpy2 rationals make simplex pivots several times faster
-    from gmpy2 import mpq as _fastq
-except ImportError:  # pragma: no cover
-    _fastq = Fraction
 
 from .errors import DomainError
 
@@ -244,9 +240,10 @@ def lp_optimize(
     """Exact optimum of an affine objective over ``polytope`` intersected
     with the unit cube; None when infeasible.
 
-    Deterministic: dense two-phase simplex over Fractions with Bland's
-    rule and fixed variable order, so repeated calls give identical
-    witnesses.  Unboundedness cannot occur (the cube is bounded).
+    Deterministic: two-phase simplex on a fraction-free integer tableau
+    with Bland's rule and fixed variable order, so repeated calls give
+    identical witnesses.  Unboundedness cannot occur (the cube is
+    bounded).
     """
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
@@ -287,102 +284,147 @@ def _simplex_max(
     """Maximize c.x subject to rows (a.x <= b) and x >= 0.
 
     Returns an optimal point or None when infeasible.  Assumes the
-    feasible region is bounded.  Pivots run on gmpy2 rationals when
-    available; inputs and outputs are exact either way.
+    feasible region is bounded.
+
+    Two-phase simplex with fraction-free integer pivoting (Edmonds 1967;
+    Bareiss 1968): a dictionary tableau of Python ints, one row per
+    constraint over the nonbasic columns plus the right-hand side, all
+    over one positive common denominator ``d``.  A pivot on ``p`` maps
+    entries to ``(t*p - f*pr) // d``, an exact division.
+
+    Variables are numbered structural ``0..n-1``, slack ``n..n+m-1``,
+    then one artificial per row with negative right-hand side.  Entering
+    is Bland's lowest index with negative reduced cost; the ratio test
+    breaks ties by basis index.  Each row is scaled to integers by a
+    positive ``s_i``, which scales its slack and artificial with it;
+    neither the ratio argmin nor any reduced-cost sign changes, and the
+    phase-1 artificial costs ``-L/s_i`` (``L`` the lcm of the ``s_i``)
+    keep the unscaled objective.  The pivots, and so the witness, are
+    those of the same simplex over rationals.
     """
-    Q = _fastq
-    _q0, _q1 = Q(0), Q(1)
     m = len(rows)
-    art_of_row: dict[int, int] = {}
-    body: list[list] = []
+    table: list[list[int]] = []  # nonbasic columns, then the rhs
+    basis: list[int] = []
+    art_rows: list[tuple[int, int]] = []  # (row, scale)
     for i, (a, b) in enumerate(rows):
-        coeffs = [Q(v.numerator, v.denominator) for v in a]
-        b = Q(b.numerator, b.denominator)
-        slack = _q1
-        if b < 0:
-            coeffs = [-v for v in coeffs]
-            b = -b
-            slack = -_q1
-        row = coeffs + [_q0] * m + [b]
-        row[n + i] = slack
-        if slack < 0:
-            art_of_row[i] = n + m + len(art_of_row)
-        body.append(row)
-    n_art = len(art_of_row)
-    width = n + m + n_art
-    tableau: list[list] = []
-    for i in range(m):
-        row = body[i][:-1] + [_q0] * n_art + [body[i][-1]]
-        if i in art_of_row:
-            row[art_of_row[i]] = _q1
-        tableau.append(row)
-    basis = [art_of_row.get(i, n + i) for i in range(m)]
+        s = lcm(b.denominator, *(v.denominator for v in a))
+        row = [v.numerator * (s // v.denominator) for v in a]
+        rhs = b.numerator * (s // b.denominator)
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+            art_rows.append((i, s))
+            basis.append(n + m + len(art_rows) - 1)
+        else:
+            basis.append(n + i)
+        row.append(rhs)
+        table.append(row)
+    # Columns: structural, then the slack of each artificial row, whose
+    # coefficient is -1 in its own row.
+    cols = list(range(n)) + [n + i for i, _ in art_rows]
+    n_art = len(art_rows)
+    for row in table:
+        row[n:n] = [0] * n_art
+    for k, (r, _) in enumerate(art_rows):
+        table[r][n + k] = -1
+    d = 1
 
-    def pivot(r: int, col: int):
-        piv = tableau[r][col]
-        if piv != 1:
-            tableau[r] = [v / piv for v in tableau[r]]
-        prow = tableau[r]
-        for i in range(m):
-            if i != r and tableau[i][col]:
-                f = tableau[i][col]
-                tableau[i] = [v - f * pv for v, pv in zip(tableau[i], prow)]
-        basis[r] = col
+    def pivot(r: int, k: int, obj: list[int] | None):
+        nonlocal d
+        prow = table[r]
+        p = prow[k]
+        dd = d
+        if p < 0:
+            prow = [-v for v in prow]
+            p = -p
+            dd = -d
+        for i, row in enumerate(table):
+            if i != r:
+                table[i] = _pivot_row(row, prow, k, p, d, dd)
+        if obj is not None:
+            obj = _pivot_row(obj, prow, k, p, d, dd)
+        prow[k] = dd
+        table[r] = prow
+        cols[k], basis[r] = basis[r], cols[k]
+        d = p
+        return obj
 
-    def optimize(cost: list, allowed: int) -> list:
-        # reduced-cost row, priced out for the current basis
-        red = [-v for v in cost] + [_q0]
-        for i, bv in enumerate(basis):
-            if red[bv]:
-                f = red[bv]
-                red = [v - f * pv for v, pv in zip(red, tableau[i])]
+    def optimize(obj: list[int]) -> list[int]:
         while True:
-            enter = next(
-                (j for j in range(allowed) if red[j] < 0), None
-            )  # Bland: lowest index
+            enter = None
+            for k, v in enumerate(obj[:-1]):
+                if v < 0 and (enter is None or cols[k] < cols[enter]):
+                    enter = k  # Bland: lowest variable index
             if enter is None:
-                return red
-            best = None
-            for i in range(m):
-                coeff = tableau[i][enter]
-                if coeff > 0:
-                    ratio = tableau[i][-1] / coeff
-                    key = (ratio, basis[i])
-                    if best is None or key < best[0]:
-                        best = (key, i)
-            if best is None:
+                return obj
+            best = -1
+            for i, row in enumerate(table):
+                a = row[enter]
+                if a > 0:
+                    if best < 0:
+                        best, num, den = i, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * den, num * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                        best, num, den = i, row[-1], a
+            if best < 0:
                 raise RuntimeError("LP unbounded; impossible inside the cube")
-            pivot(best[1], enter)
-            f = red[enter]
-            if f:
-                red = [v - f * pv for v, pv in zip(red, tableau[best[1]])]
+            obj = pivot(best, enter, obj)
 
     if n_art:
-        cost1 = [_q0] * width
-        for col in art_of_row.values():
-            cost1[col] = -_q1  # maximize -(sum of artificials)
-        red = optimize(cost1, width)
-        if red[-1] != 0:
+        big = lcm(*(s for _, s in art_rows))
+        obj = [0] * (n + n_art + 1)
+        for r, s in art_rows:
+            w = big // s  # maximize -(sum of unscaled artificials) * big
+            obj = [o - w * v for o, v in zip(obj, table[r])]
+        if optimize(obj)[-1] != 0:
             return None
-        # Drive leftover artificials out of the basis.
+        # Drive leftover artificials (basic at value 0) out of the basis.
+        # Every row has its own slack column, so the rows have full rank
+        # and such a row always has a nonzero structural or slack entry.
         for i in range(m):
             if basis[i] >= n + m:
-                col = next(
-                    (j for j in range(n + m) if tableau[i][j]), None
+                k = min(
+                    (k for k, j in enumerate(cols) if j < n + m and table[i][k]),
+                    key=cols.__getitem__,
                 )
-                if col is not None:
-                    pivot(i, col)
-                # else: the row is redundant (all structural/slack zero);
-                # its artificial stays basic at value 0, which is harmless.
+                pivot(i, k, None)
+        # Phase 2 never lets an artificial enter: drop their columns.
+        keep = [k for k, j in enumerate(cols) if j < n + m] + [len(cols)]
+        cols = [cols[k] for k in keep[:-1]]
+        table[:] = [[row[k] for k in keep] for row in table]
 
-    cost2 = [Q(v.numerator, v.denominator) for v in c] + [_q0] * (m + n_art)
-    optimize(cost2, n + m)  # artificial columns excluded in phase 2
+    scale = lcm(*(v.denominator for v in c))
+    cost = [v.numerator * (scale // v.denominator) for v in c]
+    # Phase-2 reduced costs, priced out for the current basis.
+    obj = [-cost[j] * d if j < n else 0 for j in cols] + [0]
+    for bv, row in zip(basis, table):
+        if bv < n and cost[bv]:
+            w = cost[bv]
+            obj = [o + w * v for o, v in zip(obj, row)]
+    optimize(obj)
     x = [_F0] * n
-    for i, bv in enumerate(basis):
+    for bv, row in zip(basis, table):
         if bv < n:
-            value = tableau[i][-1]
-            x[bv] = Fraction(int(value.numerator), int(value.denominator))
+            x[bv] = Fraction(row[-1], d)
     return tuple(x)
+
+
+def _pivot_row(
+    row: list[int], prow: list[int], k: int, p: int, d: int, dd: int
+) -> list[int]:
+    """One non-pivot row after a pivot on column k; ``prow`` is the pivot
+    row and ``p`` its pivot element, both sign-normalized so ``p > 0``,
+    and ``dd`` is the old denominator ``d`` with the sign of the
+    original pivot element."""
+    f = row[k]
+    if f:
+        out = [(v * p - f * w) // d for v, w in zip(row, prow)]
+        out[k] = -f if dd > 0 else f
+        return out
+    if p == d:
+        return row
+    return [v * p // d for v in row]
 
 
 def is_feasible(polytope: Polytope) -> bool:

@@ -136,6 +136,40 @@ def test_synth_cap_exceeded(capsys, tmp_path):
     assert "cap" in err
 
 
+ONE_GROUP_JSON = {"vars": 1, "expr": {"affine": {"constant": 0, "coeffs": [1]}}}
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize("doc", [ONE_GROUP_JSON, ABS_JSON], ids=["one-group", "two-group"])
+def test_synth_cap_below_one_is_malformed(capsys, tmp_path, doc, cap):
+    # The one-group input never reaches a membership search, so only an
+    # up-front check rejects its cap.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "synth", "--input", str(path), "--cap", cap)
+    assert code == 2
+    assert out == "" and "--cap" in err
+
+
+NOT_UTF8 = b"\xff\xfe(var 1)"
+
+
+def test_synth_not_utf8_is_malformed(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, "synth", "--input", str(path))
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
+def test_eval_not_utf8_is_malformed(capsys, tmp_path):
+    path = tmp_path / "t.term"
+    path.write_bytes(NOT_UTF8)
+    code, out, err = run(capsys, "eval", "--term", str(path), "--point", "0")
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
 def test_eval_examples(capsys, tmp_path):
     term_path = tmp_path / "t.term"
     term_path.write_text("(oplus (var 1) (var 1))", encoding="utf-8")
@@ -229,6 +263,16 @@ def test_check_arity_errors(capsys, tmp_path):
     other.write_text("(var 1)", encoding="utf-8")
     code, _, _ = run(capsys, "check", "--left", str(other), "--right", str(other), "--vars", "1")
     assert code == 2
+
+
+def test_check_not_utf8_is_malformed(capsys, tmp_path):
+    bad = tmp_path / "bad.term"
+    bad.write_bytes(NOT_UTF8)
+    ok = tmp_path / "ok.term"
+    ok.write_text("(var 1)", encoding="utf-8")
+    code, out, err = run(capsys, "check", "--left", str(bad), "--right", str(ok), "--vars", "1")
+    assert code == 2
+    assert out == "" and "error:" in err
 
 
 def test_synth_check_round_trip(capsys, tmp_path):
