@@ -2,7 +2,7 @@
 unit cube to many-valued (Lukasiewicz) logic terms.
 
 Every synthesized term comes with an exact certificate: the decision
-procedures here work over arbitrary-precision rationals, so "equal" means
+procedure here works over arbitrary-precision rationals, so "equal" means
 equal at every point, not equal up to tolerance.
 """
 
@@ -15,7 +15,6 @@ from .errors import (
     MvSynthError,
     NotCongruentError,
     NotMemberError,
-    SizeLimitError,
     TermSyntaxError,
 )
 from .geometry import (
@@ -63,8 +62,6 @@ from .pwl import (
     MaxOf,
     MinOf,
     PwlExpr,
-    decide_eq,
-    decide_leq,
     eval_pwl,
     function_eq,
     function_leq,
@@ -73,7 +70,6 @@ from .pwl import (
     min_of,
     pwl_arity,
     pwl_leaves,
-    term_to_pwl,
     truncate_affine,
 )
 from .linear import linear_term

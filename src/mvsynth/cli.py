@@ -9,9 +9,10 @@ check  --left FILE --right FILE --vars N
 
 Exit codes: 0 success (check: functions equal), 1 check found a
 difference, 2 malformed input (including a file that is not UTF-8 text,
-or --cap below 1), 3 invalid description / bad evaluation domain, 4
-membership-search cap exceeded.  Results go to stdout, diagnostics to
-stderr; all output is deterministic.
+a description nested too deeply to parse, or --cap below 1), 3 invalid
+description / bad evaluation domain, 4 membership-search cap exceeded.
+Results go to stdout, diagnostics to stderr; all output is
+deterministic.
 
 Description files are JSON: ``{"vars": n, "expr": NODE}`` where NODE is
 ``{"affine": {"constant": INT, "coeffs": [INT x n]}}``, ``{"min": [NODE,
@@ -40,7 +41,7 @@ from .errors import (
     NotCongruentError,
     TermSyntaxError,
 )
-from .pwl import Leaf, MaxOf, MinOf, PwlExpr, decide_eq, function_eq, pwl_arity
+from .pwl import Leaf, MaxOf, MinOf, PwlExpr, function_eq
 from .geometry import AffineForm, affine
 from .terms import (
     Term,
@@ -111,10 +112,13 @@ def description_from_obj(obj) -> tuple[int, PwlExpr]:
 def load_description(path: str) -> tuple[int, PwlExpr]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return description_from_obj(json.load(fh))
         except json.JSONDecodeError as ex:
             raise DescriptionError(f"invalid JSON: {ex}") from ex
-    return description_from_obj(obj)
+        except RecursionError as ex:
+            # Both the JSON decoder and the schema walk recurse once per
+            # nesting level; an over-deep document is malformed input.
+            raise DescriptionError("description nested too deeply") from ex
 
 
 def _point_str(point) -> str:
@@ -217,10 +221,7 @@ def _run_check(args) -> int:
         right = _load_side(args.right, args.vars)
     except (DescriptionError, TermSyntaxError, OSError, UnicodeDecodeError) as ex:
         return _fail(f"error: {ex}", EXIT_MALFORMED)
-    if isinstance(left, PwlExpr) and isinstance(right, PwlExpr):
-        verdict = decide_eq(left, right)
-    else:
-        verdict = function_eq(left, right, args.vars)
+    verdict = function_eq(left, right, args.vars)
     if verdict:
         print("EQUAL")
         return EXIT_OK

@@ -50,13 +50,11 @@ from .pwl import (
     MinOf,
     PwlExpr,
     _resolve_at,
-    decide_leq,
     eval_pwl,
     function_eq,
     function_leq,
     pwl_arity,
     pwl_leaves,
-    term_to_pwl,
 )
 from .terms import (
     Term,
@@ -82,19 +80,6 @@ class PrincipalIdeal:
 
     generator: Term
     arity: int
-
-    def generator_pwl(self) -> PwlExpr:
-        """Lattice form of the generator (cached; small generators only)."""
-        key = (id(self.generator), self.arity)
-        hit = _GEN_PWL_CACHE.get(key)
-        if hit is None:
-            hit = term_to_pwl(self.generator, self.arity)
-            _GEN_PWL_CACHE[key] = hit
-        return hit
-
-
-# Generators are interned terms and therefore immortal, so id keys are safe.
-_GEN_PWL_CACHE: dict[tuple[int, int], PwlExpr] = {}
 
 
 @dataclass(frozen=True)
@@ -283,12 +268,12 @@ def chinese_glue(
 
 
 def _check_range(description: PwlExpr, arity: int):
-    upper = decide_leq(description, Leaf(const_form(arity, 1)))
+    upper = function_leq(description, Leaf(const_form(arity, 1)), arity)
     if not upper:
         raise InvalidDescriptionError(
             "description exceeds 1 on the cube", upper.witness
         )
-    lower = decide_leq(Leaf(const_form(arity, 0)), description)
+    lower = function_leq(Leaf(const_form(arity, 0)), description, arity)
     if not lower:
         raise InvalidDescriptionError(
             "description drops below 0 on the cube", lower.witness

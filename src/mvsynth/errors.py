@@ -67,7 +67,3 @@ class CertificationError(MvSynthError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class SizeLimitError(MvSynthError):
-    """A lattice normal form grew past the configured safety limit."""

@@ -1,21 +1,19 @@
-"""Piecewise-linear function descriptions and exact order/equality decisions.
+"""Piecewise-linear function descriptions and the exact order/equality
+decision procedure.
 
 A `PwlExpr` is a min/max lattice tree over affine leaves; it describes a
 continuous piecewise-linear function on the unit cube.  This module
 provides exact evaluation, the clamp-to-[0,1] truncation of an affine
-form, the translation of a term into an equivalent lattice expression,
-and two decision procedures:
+form, and one decision procedure, `function_leq` / `function_eq`.  It
+compares term functions and lattice expressions, in any mix, by
+resolving the DAG cell by cell and splitting a cell only when some clamp
+or min/max choice actually changes sign on it.  This stays
+polynomial-sized on the large shared terms produced by gluing, where an
+up-front lattice normal form would explode.
 
-* `decide_leq` / `decide_eq` work on lattice expressions by enumerating
-  the sign cells of all leaf forms and their pairwise differences; inside
-  a cell both expressions are affine and a single LP settles the cell.
-
-* `function_leq` / `function_eq` compare term functions (or a term
-  against a lattice expression) by resolving the DAG cell by cell and
-  splitting a cell only when some clamp or min/max choice actually
-  changes sign on it.  This stays polynomial-sized on the large shared
-  terms produced by gluing, where an up-front lattice normal form would
-  explode.
+An independent reference procedure (the leaf-difference arrangement and
+the lattice normal form of a term) lives in ``tests/oracles.py``; the
+tests check `function_leq` against it.
 """
 
 from __future__ import annotations
@@ -25,26 +23,17 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from . import terms
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError
 from .geometry import (
     AffineForm,
     Polytope,
     const_form,
     cube,
-    dedup_canonical_forms,
-    enumerate_cells,
     interior_point,
     lp_optimize,
     unit_form,
 )
 from .terms import Term, as_point
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-# Hard ceiling on lattice normal-form work; glued terms must go through
-# function_leq instead of term_to_pwl.
-NORMAL_FORM_LIMIT = 60_000
 
 
 class PwlExpr:
@@ -159,198 +148,7 @@ def truncate_affine(form: AffineForm) -> PwlExpr:
     return MinOf((MaxOf((Leaf(form), Leaf(const_form(n, 0)))), Leaf(const_form(n, 1))))
 
 
-# --- term -> lattice expression ----------------------------------------------
-
-def term_to_pwl(t: Term, arity: int) -> PwlExpr:
-    """Lattice expression with the same function as the term.
-
-    Negation is pushed through min/max; a truncated sum distributes the
-    two operands' max-of-min normal forms leafwise and re-clamps.  The
-    normal form can grow exponentially, so inputs past a size limit are
-    rejected (`SizeLimitError`); compare large terms with `function_leq`
-    instead of translating them.
-    """
-    if terms.max_var_index(t) > arity:
-        raise DomainError("term variable index exceeds declared arity")
-    if terms.term_node_count(t) > NORMAL_FORM_LIMIT:
-        raise SizeLimitError(
-            "term too large for lattice normal form; use function_leq/function_eq"
-        )
-    memo: dict[int, PwlExpr] = {}
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        if id(node) in memo:
-            stack.pop()
-            continue
-        if isinstance(node, terms.Zero):
-            memo[id(node)] = Leaf(const_form(arity, 0))
-        elif isinstance(node, terms.One):
-            memo[id(node)] = Leaf(const_form(arity, 1))
-        elif isinstance(node, terms.Var):
-            memo[id(node)] = Leaf(unit_form(arity, node.index))
-        elif isinstance(node, terms.Neg):
-            child = memo.get(id(node.child))
-            if child is None:
-                stack.append(node.child)
-                continue
-            memo[id(node)] = _complement(child)
-        else:  # Oplus
-            left = memo.get(id(node.left))
-            right = memo.get(id(node.right))
-            if left is None or right is None:
-                if right is None:
-                    stack.append(node.right)
-                if left is None:
-                    stack.append(node.left)
-                continue
-            blocks = _sum_blocks(_blocks(left), _blocks(right))
-            body = max_of(
-                [min_of([Leaf(g) for g in blk]) for blk in blocks]
-            )
-            memo[id(node)] = MinOf(
-                (
-                    MaxOf((body, Leaf(const_form(arity, 0)))),
-                    Leaf(const_form(arity, 1)),
-                )
-            )
-        stack.pop()
-    return memo[id(t)]
-
-
-def _complement(expr: PwlExpr) -> PwlExpr:
-    """1 - expr, pushed through the lattice structure."""
-    memo: dict[int, PwlExpr] = {}
-    stack = [expr]
-    while stack:
-        node = stack[-1]
-        if id(node) in memo:
-            stack.pop()
-            continue
-        if isinstance(node, Leaf):
-            memo[id(node)] = Leaf(const_form(node.form.arity, 1) - node.form)
-            stack.pop()
-            continue
-        missing = [c for c in node.children if id(c) not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        kids = tuple(memo[id(c)] for c in node.children)
-        memo[id(node)] = MaxOf(kids) if isinstance(node, MinOf) else MinOf(kids)
-        stack.pop()
-    return memo[id(expr)]
-
-
-def _form_leq_everywhere(g: AffineForm, h: AffineForm) -> bool:
-    """Exact pointwise g <= h over the whole cube (affine, so the box
-    bound is the true maximum)."""
-    return (g - h).bounds()[1] <= 0
-
-
-def _prune_min_list(forms: list[AffineForm]) -> list[AffineForm]:
-    """Remove forms dominated from below inside one min-list (exact)."""
-    kept: list[AffineForm] = []
-    for g in forms:
-        if any(_form_leq_everywhere(k, g) for k in kept):
-            continue
-        kept = [k for k in kept if not _form_leq_everywhere(g, k)]
-        kept.append(g)
-    return kept
-
-
-def _prune_blocks(blocks: list[list[AffineForm]]) -> list[list[AffineForm]]:
-    """Dedup blocks and drop blocks whose min lies below another block's
-    min everywhere (the max over blocks is unchanged)."""
-    seen = set()
-    unique: list[list[AffineForm]] = []
-    for blk in blocks:
-        key = frozenset(blk)
-        if key not in seen:
-            seen.add(key)
-            unique.append(blk)
-    if len(unique) > 220:  # quadratic pass; skip when clearly too wide
-        return unique
-
-    def dominated(a: list[AffineForm], b: list[AffineForm]) -> bool:
-        # min(a) <= min(b) pointwise: every b-form sits above some a-form
-        return all(any(_form_leq_everywhere(ga, gb) for ga in a) for gb in b)
-
-    kept: list[list[AffineForm]] = []
-    for blk in unique:
-        if any(dominated(blk, other) and not dominated(other, blk) for other in kept):
-            continue
-        kept = [
-            other
-            for other in kept
-            if not (dominated(other, blk) and not dominated(blk, other))
-        ]
-        kept.append(blk)
-    return kept
-
-
-def _blocks(expr: PwlExpr) -> list[list[AffineForm]]:
-    """Max-of-min normal form: a list of blocks, each block a list of
-    forms whose minimum is taken; the maximum is taken over blocks.
-    Dominated pieces are pruned (exactly) to curb the distribution
-    blowup; the function is unchanged."""
-    memo: dict[int, list[list[AffineForm]]] = {}
-    stack = [expr]
-    while stack:
-        node = stack[-1]
-        if id(node) in memo:
-            stack.pop()
-            continue
-        if isinstance(node, Leaf):
-            memo[id(node)] = [[node.form]]
-            stack.pop()
-            continue
-        missing = [c for c in node.children if id(c) not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        parts = [memo[id(c)] for c in node.children]
-        if isinstance(node, MaxOf):
-            out = _prune_blocks([blk for p in parts for blk in p])
-        else:
-            out = parts[0]
-            for p in parts[1:]:
-                merged = []
-                for a in out:
-                    for b in p:
-                        blk = list(a)
-                        for g in b:
-                            if g not in blk:
-                                blk.append(g)
-                        merged.append(_prune_min_list(blk))
-                out = _prune_blocks(merged)
-                if len(out) > NORMAL_FORM_LIMIT:
-                    raise SizeLimitError("lattice normal form exceeds size limit")
-        memo[id(node)] = out
-        stack.pop()
-    return memo[id(expr)]
-
-
-def _sum_blocks(
-    a: list[list[AffineForm]], b: list[list[AffineForm]]
-) -> list[list[AffineForm]]:
-    # min-of-forms + min-of-forms = min over pairwise sums, and max
-    # distributes over +, so blocks combine pairwise.
-    if len(a) * len(b) > NORMAL_FORM_LIMIT:
-        raise SizeLimitError("lattice normal form exceeds size limit")
-    out = []
-    for blk_a in a:
-        for blk_b in b:
-            blk = []
-            for ga in blk_a:
-                for gb in blk_b:
-                    s = ga + gb
-                    if s not in blk:
-                        blk.append(s)
-            out.append(_prune_min_list(blk))
-    return _prune_blocks(out)
-
-
-# --- decision procedures ------------------------------------------------------
+# --- decision procedure -------------------------------------------------------
 
 @dataclass(frozen=True)
 class Decision:
@@ -402,57 +200,6 @@ def _resolve_at(expr: PwlExpr, point: tuple[Fraction, ...]) -> AffineForm:
         memo[id(node)] = pick
         stack.pop()
     return memo[id(expr)][0]
-
-
-def decide_leq(
-    lhs: PwlExpr, rhs: PwlExpr, region: Polytope | None = None
-) -> Decision:
-    """Does lhs <= rhs hold at every point of the region (default: the
-    whole cube)?  Exact; a refutation carries a witness point.
-
-    The sign cells of all distinct leaf forms plus all pairwise leaf
-    differences are enumerated inside the region; on each cell both
-    expressions collapse to single affine forms, compared by LP.
-    """
-    arity = pwl_arity(lhs)
-    if pwl_arity(rhs) != arity:
-        raise DomainError("expressions have different arities")
-    region = _check_region(region, arity)
-    if interior_point(region) is None:
-        if lp_optimize(const_form(arity, 0), region) is None:
-            return Decision(True)  # empty region: vacuously true
-        raise DomainError("region has points but empty interior; not supported")
-
-    leaves = pwl_leaves(lhs)
-    for g in pwl_leaves(rhs):
-        if g not in leaves:
-            leaves.append(g)
-    collected = list(leaves)
-    for i in range(len(leaves)):
-        for j in range(i + 1, len(leaves)):
-            collected.append(leaves[i] - leaves[j])
-    forms = dedup_canonical_forms(collected)
-
-    for cell in enumerate_cells(forms, arity, within=region):
-        fa = _resolve_at(lhs, cell.point)
-        fb = _resolve_at(rhs, cell.point)
-        diff = fa - fb
-        if diff.bounds()[1] <= 0:
-            continue
-        res = lp_optimize(diff, cell.polytope)
-        if res is not None and res.optimum > 0:
-            return Decision(False, res.witness)
-    return Decision(True)
-
-
-def decide_eq(
-    lhs: PwlExpr, rhs: PwlExpr, region: Polytope | None = None
-) -> Decision:
-    """Function equality on the region: decide_leq both ways."""
-    forward = decide_leq(lhs, rhs, region)
-    if not forward:
-        return forward
-    return decide_leq(rhs, lhs, region)
 
 
 # --- adaptive comparison on term DAGs ----------------------------------------
@@ -627,8 +374,8 @@ def function_leq(
     Works directly on the shared DAG: each candidate cell is refined only
     when some clamp or lattice choice genuinely changes sign on it, so
     the cost tracks the functions' true piecewise structure rather than
-    their syntax size.  Semantically identical to translating both sides
-    with `term_to_pwl` and running `decide_leq` (cross-checked in tests).
+    their syntax size.  The tests check it against the reference
+    procedure in ``tests/oracles.py``.
     """
     _check_operand(lhs, arity)
     _check_operand(rhs, arity)

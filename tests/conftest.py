@@ -129,7 +129,9 @@ def clamp_description(body: mv.PwlExpr, arity: int) -> mv.PwlExpr:
 def _in_unit_range(expr: mv.PwlExpr, arity: int) -> bool:
     one = mv.leaf(mv.const_form(arity, 1))
     zero = mv.leaf(mv.const_form(arity, 0))
-    return bool(mv.decide_leq(expr, one)) and bool(mv.decide_leq(zero, expr))
+    return bool(mv.function_leq(expr, one, arity)) and bool(
+        mv.function_leq(zero, expr, arity)
+    )
 
 
 def random_description(rng: random.Random, arity: int, n_forms: int) -> mv.PwlExpr:

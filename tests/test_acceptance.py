@@ -24,6 +24,7 @@ from conftest import (
     random_polytope,
     random_pwl_pair,
 )
+from oracles import decide_leq
 
 F = Fraction
 CAP = 65536
@@ -210,7 +211,9 @@ def test_criterion_6_geometry_oracles():
     rng = random.Random(515151)
     for i in range(200):
         arity, lhs, rhs = random_pwl_pair(rng)
-        verdict = mv.decide_leq(lhs, rhs)
+        verdict = mv.function_leq(lhs, rhs, arity)
+        if bool(verdict) != bool(decide_leq(lhs, rhs)):
+            failures.append(("disagrees with the arrangement oracle", i))
         if verdict:
             for p in grid_points(arity, 12):
                 if mv.eval_pwl(lhs, p) > mv.eval_pwl(rhs, p):

@@ -162,6 +162,23 @@ def test_synth_not_utf8_is_malformed(capsys, tmp_path):
     assert out == "" and "error:" in err
 
 
+def _write_deep_description(path, depth=600):
+    # Written as text: json.dump cannot encode this depth either.
+    leaf = '{"affine": {"constant": 0, "coeffs": [1]}}'
+    path.write_text(
+        '{"vars": 1, "expr": ' + '{"min": [' * depth + leaf + "]}" * depth + "}",
+        encoding="utf-8",
+    )
+
+
+def test_synth_deeply_nested_is_malformed(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    _write_deep_description(path)
+    code, out, err = run(capsys, "synth", "--input", str(path))
+    assert code == 2
+    assert out == "" and "nested too deeply" in err
+
+
 def test_eval_not_utf8_is_malformed(capsys, tmp_path):
     path = tmp_path / "t.term"
     path.write_bytes(NOT_UTF8)
@@ -273,6 +290,16 @@ def test_check_not_utf8_is_malformed(capsys, tmp_path):
     code, out, err = run(capsys, "check", "--left", str(bad), "--right", str(ok), "--vars", "1")
     assert code == 2
     assert out == "" and "error:" in err
+
+
+def test_check_deeply_nested_is_malformed(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    _write_deep_description(deep)
+    ok = tmp_path / "ok.term"
+    ok.write_text("(var 1)", encoding="utf-8")
+    code, out, err = run(capsys, "check", "--left", str(deep), "--right", str(ok), "--vars", "1")
+    assert code == 2
+    assert out == "" and "nested too deeply" in err
 
 
 def test_synth_check_round_trip(capsys, tmp_path):

@@ -1,12 +1,15 @@
-"""Lattice expressions, term translation, and the decision procedures."""
+"""Lattice expressions, the decision procedure, and its reference oracle."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvsynth as mv
 from conftest import grid_points, random_point, random_pwl, random_pwl_pair, random_term
+from oracles import decide_leq, term_to_pwl
 
 F = Fraction
 
@@ -43,12 +46,12 @@ def test_truncate_affine():
 
 def test_term_to_pwl_examples():
     x = mv.var(1)
-    e = mv.term_to_pwl(mv.oplus(x, x), 1)
+    e = term_to_pwl(mv.oplus(x, x), 1)
     assert mv.eval_pwl(e, [F(1, 3)]) == F(2, 3)
     assert mv.eval_pwl(e, [F(2, 3)]) == 1
-    neg = mv.term_to_pwl(mv.neg(x), 1)
+    neg = term_to_pwl(mv.neg(x), 1)
     assert neg == mv.leaf(mv.affine(1, [-1]))
-    d = mv.term_to_pwl(mv.dist(mv.var(1), mv.var(2)), 2)
+    d = term_to_pwl(mv.dist(mv.var(1), mv.var(2)), 2)
     assert mv.eval_pwl(d, [F(1, 3), F(1, 2)]) == F(1, 6)
 
 
@@ -56,34 +59,28 @@ def test_term_to_pwl_matches_eval_term():
     rng = random.Random(77)
     for _ in range(200):
         t = random_term(rng, 2, rng.randint(0, 5))
-        expr = mv.term_to_pwl(t, 2)
+        expr = term_to_pwl(t, 2)
         for _ in range(50):
             p = random_point(rng, 2)
             assert mv.eval_pwl(expr, p) == mv.eval_term(t, p)
 
 
-def test_term_to_pwl_size_guard():
-    big = mv.iterate_oplus(100_000, mv.var(1))
-    with pytest.raises(mv.SizeLimitError):
-        mv.term_to_pwl(big, 1)
-
-
 def test_decide_leq_examples():
     ident = L(0, 1)
     min2x = mv.min_of([L(1, 0), L(0, 2)])
-    assert mv.decide_leq(ident, min2x)
-    verdict = mv.decide_leq(min2x, ident)
+    assert mv.function_leq(ident, min2x, 1)
+    verdict = mv.function_leq(min2x, ident, 1)
     assert not verdict
     w = verdict.witness[0]
     assert min(F(1), 2 * w) > w
     max_part = mv.max_of([L(0, 0), L(-1, 2)])
-    assert mv.decide_leq(max_part, ident)
+    assert mv.function_leq(max_part, ident, 1)
 
 
 def test_decide_eq_examples():
-    assert mv.decide_eq(ABS_EXPR, ABS_EXPR)
+    assert mv.function_eq(ABS_EXPR, ABS_EXPR, 1)
     other = mv.min_of([L(-1, 2), L(1, -2)])
-    verdict = mv.decide_eq(ABS_EXPR, other)
+    verdict = mv.function_eq(ABS_EXPR, other, 1)
     assert not verdict
     p = verdict.witness
     assert mv.eval_pwl(ABS_EXPR, p) != mv.eval_pwl(other, p)
@@ -92,36 +89,36 @@ def test_decide_eq_examples():
 def test_decide_eq_certifies_max_identity():
     # a (+) (b (-) a) has the same function as max(a, b)
     t = mv.oplus(mv.var(1), mv.ominus(mv.var(2), mv.var(1)))
-    expr = mv.term_to_pwl(t, 2)
+    expr = term_to_pwl(t, 2)
     target = mv.max_of([L(0, 1, 0), L(0, 0, 1)])
-    assert mv.decide_eq(expr, target)
+    assert mv.function_eq(expr, target, 2)
 
 
 def test_decide_leq_on_subregion():
     # 1 - 2x <= x only holds right of x = 1/3
     lhs, rhs = L(1, -2), L(0, 1)
     region = mv.Polytope(1, (mv.affine(1, [-3]),))  # x >= 1/3
-    assert mv.decide_leq(lhs, rhs, region)
-    assert not mv.decide_leq(lhs, rhs)
+    assert mv.function_leq(lhs, rhs, 1, region)
+    assert not mv.function_leq(lhs, rhs, 1)
 
 
 def test_decide_leq_empty_and_degenerate_regions():
     empty = mv.Polytope(1, (mv.affine(1, [1]),))  # x <= -1
-    assert mv.decide_leq(L(0, 1), L(0, 1), empty)
+    assert mv.function_leq(L(0, 1), L(0, 1), 1, empty)
     line = mv.Polytope(1, (mv.affine(0, [1]), mv.affine(0, [-1])))  # x = 0
     with pytest.raises(mv.DomainError):
-        mv.decide_leq(L(0, 1), L(0, 1), line)
+        mv.function_leq(L(0, 1), L(0, 1), 1, line)
 
 
 def test_clamp_commutes_with_lattice():
     # truncate(min(g,h)) == min(truncate g, truncate h), on a grid and
-    # symbolically via decide_eq
+    # symbolically via function_eq
     g = mv.affine(-1, [2])
     h = mv.affine(1, [-1])
     min_form = mv.min_of([mv.leaf(g), mv.leaf(h)])
     lhs = mv.min_of([mv.max_of([min_form, L(0, 0)]), L(1, 0)])
     rhs = mv.min_of([mv.truncate_affine(g), mv.truncate_affine(h)])
-    assert mv.decide_eq(lhs, rhs)
+    assert mv.function_eq(lhs, rhs, 1)
     for p in grid_points(1, 12):
         assert mv.eval_pwl(lhs, p) == mv.eval_pwl(rhs, p)
 
@@ -131,7 +128,7 @@ def test_decide_leq_agrees_with_grid():
     falses = trues = 0
     for _ in range(60):
         arity, lhs, rhs = random_pwl_pair(rng)
-        verdict = mv.decide_leq(lhs, rhs)
+        verdict = decide_leq(lhs, rhs)
         points = grid_points(arity, 12)
         if verdict:
             trues += 1
@@ -147,12 +144,12 @@ def test_decide_leq_reflexive_and_transitive_samples():
     rng = random.Random(32)
     exprs = [random_pwl(rng, 1, 2) for _ in range(6)]
     for e in exprs:
-        assert mv.decide_leq(e, e)
+        assert mv.function_leq(e, e, 1)
     for a in exprs:
         for b in exprs:
             for c in exprs:
-                if mv.decide_leq(a, b) and mv.decide_leq(b, c):
-                    assert mv.decide_leq(a, c)
+                if mv.function_leq(a, b, 1) and mv.function_leq(b, c, 1):
+                    assert mv.function_leq(a, c, 1)
 
 
 def test_function_leq_matches_decide_leq():
@@ -161,7 +158,7 @@ def test_function_leq_matches_decide_leq():
     for _ in range(60):
         s = random_term(rng, 2, rng.randint(0, 4))
         t = random_term(rng, 2, rng.randint(0, 4))
-        spec_route = mv.decide_leq(mv.term_to_pwl(s, 2), mv.term_to_pwl(t, 2))
+        spec_route = decide_leq(term_to_pwl(s, 2), term_to_pwl(t, 2))
         dag_route = mv.function_leq(s, t, 2)
         assert bool(spec_route) == bool(dag_route)
         if dag_route:
@@ -171,6 +168,39 @@ def test_function_leq_matches_decide_leq():
             w = dag_route.witness
             assert mv.eval_term(s, w) > mv.eval_term(t, w)
     assert agree_true > 0 and agree_false > 0
+
+
+def _pwl_trees(arity: int, depth: int, width: int):
+    leaves = st.builds(
+        lambda constant, coeffs: L(constant, *coeffs),
+        st.integers(-3, 3),
+        st.lists(st.integers(-3, 3), min_size=arity, max_size=arity),
+    )
+    trees = leaves
+    for _ in range(depth):
+        kids = st.lists(trees, min_size=2, max_size=width)
+        trees = st.one_of(leaves, st.builds(mv.min_of, kids), st.builds(mv.max_of, kids))
+    return trees
+
+
+# (depth, width) per arity, sized so the oracle's leaf-difference
+# arrangement stays small: depth-2 trees at arity 3 take it minutes.
+ORACLE_SHAPES = {1: (2, 3), 2: (2, 2), 3: (1, 2)}
+
+
+@pytest.mark.parametrize("arity", sorted(ORACLE_SHAPES))
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_function_leq_agrees_with_oracle_property(arity, data):
+    trees = _pwl_trees(arity, *ORACLE_SHAPES[arity])
+    lhs, rhs = data.draw(trees), data.draw(trees)
+    verdict = mv.function_leq(lhs, rhs, arity)
+    reference = decide_leq(lhs, rhs)
+    assert bool(verdict) == bool(reference)
+    for decision in (verdict, reference):
+        if not decision:
+            w = decision.witness
+            assert mv.eval_pwl(lhs, w) > mv.eval_pwl(rhs, w)
 
 
 def test_function_leq_mixed_operands():
