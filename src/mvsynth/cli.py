@@ -9,10 +9,12 @@ check  --left FILE --right FILE --vars N
 
 Exit codes: 0 success (check: functions equal), 1 check found a
 difference, 2 malformed input (including a file that is not UTF-8 text,
-a description nested too deeply to parse, or --cap below 1), 3 invalid
-description / bad evaluation domain, 4 membership-search cap exceeded.
-Results go to stdout, diagnostics to stderr; all output is
-deterministic.
+a description nested too deeply to parse, --cap below 1, or a --output
+path that cannot be written), 3 invalid description / bad evaluation
+domain, 4 membership-search cap exceeded, 5 internal error (a bug, such
+as a failed final certificate; one ``internal error:`` line on stderr,
+never a traceback).  Results go to stdout, diagnostics to stderr; all
+output is deterministic.
 
 Description files are JSON: ``{"vars": n, "expr": NODE}`` where NODE is
 ``{"affine": {"constant": INT, "coeffs": [INT x n]}}``, ``{"min": [NODE,
@@ -42,9 +44,8 @@ from .errors import (
     TermSyntaxError,
 )
 from .pwl import Leaf, MaxOf, MinOf, PwlExpr, function_eq
-from .geometry import AffineForm, affine
+from .geometry import affine
 from .terms import (
-    Term,
     eval_term,
     max_var_index,
     parse_term,
@@ -58,6 +59,7 @@ EXIT_DIFFER = 1
 EXIT_MALFORMED = 2
 EXIT_INVALID = 3
 EXIT_CAP = 4
+EXIT_INTERNAL = 5
 
 
 def _is_int(value) -> bool:
@@ -168,8 +170,11 @@ def _run_synth(args) -> int:
             file=sys.stderr,
         )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as ex:
+            return _fail(f"error: cannot write output: {ex}", EXIT_MALFORMED)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -273,7 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except Exception as ex:  # a bug: exit 1 would read as a check verdict
+        message = " ".join(f"{type(ex).__name__}: {ex}".split())
+        return _fail(f"internal error: {message}", EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

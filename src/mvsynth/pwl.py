@@ -11,15 +11,25 @@ or min/max choice actually changes sign on it.  This stays
 polynomial-sized on the large shared terms produced by gluing, where an
 up-front lattice normal form would explode.
 
-An independent reference procedure (the leaf-difference arrangement and
-the lattice normal form of a term) lives in ``tests/oracles.py``; the
-tests check `function_leq` against it.
+The procedure runs on integers.  A term function is piecewise linear
+with integer coefficients (McNaughton 1951) and a description's leaves
+have one common denominator, so every affine form it meets is a tuple of
+ints over one positive denominator per call; only the LPs that settle a
+sign see an `AffineForm`.  Signs do not change under positive scaling,
+so this is exact and makes the same choices as rational arithmetic.
+
+Two references live in ``tests/oracles.py``: the same procedure over
+``Fraction`` and an independent one (the leaf-difference arrangement and
+the lattice normal form of a term).  The tests check `function_leq`
+against both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Sequence, Union
 
 from . import terms
@@ -31,7 +41,6 @@ from .geometry import (
     cube,
     interior_point,
     lp_optimize,
-    unit_form,
 )
 from .terms import Term, as_point
 
@@ -203,50 +212,98 @@ def _resolve_at(expr: PwlExpr, point: tuple[Fraction, ...]) -> AffineForm:
 
 
 # --- adaptive comparison on term DAGs ----------------------------------------
+#
+# Inside the procedure an affine form is a tuple of ints (c, a1, ..., an)
+# over a positive denominator fixed for the whole call: 1 for a term (a
+# term function is piecewise linear with integer coefficients; McNaughton
+# 1951), and for a lattice expression the lcm of its leaves' coefficient
+# denominators in this call (1 for every integer description).  Sign
+# tests are invariant under positive scaling, so no choice, cell, LP or
+# witness depends on the denominator; `AffineForm` objects are built only
+# where an LP needs one.
 
 class _Split(Exception):
     """Raised during cell resolution when a form changes sign on the cell."""
 
-    def __init__(self, form: AffineForm):
+    def __init__(self, form: tuple[int, ...]):
         self.form = form
 
 
+def _canonical(form: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
+    """Primitive representative of a non-constant int form, with the sign
+    convention of `AffineForm.canonical` (first nonzero coefficient
+    positive), and whether it is a negative multiple of ``form``."""
+    g = gcd(*form)
+    for lead in form[1:]:
+        if lead:
+            break
+    if lead < 0:
+        g = -g
+    if g == 1:
+        return form, False
+    return tuple(v // g for v in form), g < 0
+
+
+def _affine(form: tuple[int, ...], den: int = 1) -> AffineForm:
+    """The `AffineForm` an int form over ``den`` stands for."""
+    return AffineForm(
+        Fraction(form[0], den), tuple(Fraction(v, den) for v in form[1:])
+    )
+
+
+def _scaled(form: AffineForm, den: int) -> tuple[int, ...]:
+    """``den`` times ``form`` as an int form; ``den`` clears every
+    denominator of ``form``."""
+    entries = (form.constant, *form.coeffs)
+    return tuple(v.numerator * (den // v.denominator) for v in entries)
+
+
 class _CellCtx:
-    __slots__ = ("polytope", "point", "signs")
+    __slots__ = ("polytope", "scaled_point", "signs")
 
-    def __init__(self, polytope: Polytope, point: tuple[Fraction, ...]):
+    def __init__(self, polytope: Polytope, point: tuple[Fraction, ...], signs: dict):
         self.polytope = polytope
-        self.point = point
-        self.signs: dict[AffineForm, int | None] = {}
+        den = lcm(*(p.denominator for p in point))
+        # (den, den * point): the dot product with an int form is the
+        # form's value at the point times den > 0.
+        self.scaled_point = (den, *(p.numerator * (den // p.denominator) for p in point))
+        self.signs: dict[tuple[int, ...], int | None] = signs
 
-    def sign(self, form: AffineForm) -> tuple[int | None, bool]:
+    def value_sign(self, form: tuple[int, ...]) -> int:
+        """A number with the sign of ``form`` at the cell's point."""
+        return sum(map(mul, form, self.scaled_point))
+
+    def sign(self, form: tuple[int, ...]) -> tuple[int | None, bool]:
         """Sign of ``form`` on the cell: -1 (<= 0 everywhere), +1 (>= 0
         everywhere) or None (both).  Second component: True when the
         answer holds on the whole cube, not just this cell."""
-        if form.is_constant:
-            return (1 if form.constant >= 0 else -1), True
-        lo, hi = form.bounds()
+        lo = hi = form[0]
+        for v in form[1:]:
+            if v > 0:
+                hi += v
+            elif v < 0:
+                lo += v
+        if lo >= 0:  # first, so a zero constant counts as >= 0
+            return 1, True
         if hi <= 0:
             return -1, True
-        if lo >= 0:
-            return 1, True
-        canon, flipped = form.canonical()
-        if canon in self.signs:
-            sign = self.signs[canon]
-        else:
-            value = canon.evaluate(self.point)
+        canon, flipped = _canonical(form)
+        sign = self.signs.get(canon, 0)  # stored signs are 1, -1 or None
+        if sign == 0:
+            objective = _affine(canon)
+            value = self.value_sign(canon)
             if value > 0:
-                res = lp_optimize(canon, self.polytope, "min")
+                res = lp_optimize(objective, self.polytope, "min")
                 sign = 1 if res.optimum >= 0 else None
             elif value < 0:
-                res = lp_optimize(canon, self.polytope)
+                res = lp_optimize(objective, self.polytope)
                 sign = -1 if res.optimum <= 0 else None
             else:
-                hi_res = lp_optimize(canon, self.polytope)
+                hi_res = lp_optimize(objective, self.polytope)
                 if hi_res.optimum <= 0:
                     sign = -1
                 else:
-                    lo_res = lp_optimize(canon, self.polytope, "min")
+                    lo_res = lp_optimize(objective, self.polytope, "min")
                     sign = 1 if lo_res.optimum >= 0 else None
             self.signs[canon] = sign
         if sign is not None and flipped:
@@ -254,98 +311,115 @@ class _CellCtx:
         return sign, False
 
 
-# Cube-wide resolutions of interned term nodes, keyed by (node id, arity).
-# Terms are immortal (the intern table keeps them alive) so id-keyed
-# caching is safe; PwlExpr nodes are not interned and must not be cached
-# across calls.
-_TERM_CUBE_CACHE: dict[tuple[int, int], AffineForm] = {}
+# Cube-wide resolutions of interned term nodes: arity -> {node id: int
+# form}.  Terms are immortal (the intern table keeps them alive) so
+# id-keyed caching is safe; PwlExpr nodes are not interned and must not be
+# cached across calls.
+_TERM_CUBE_CACHE: dict[int, dict[int, tuple[int, ...]]] = {}
 
 
-def _node_children(node) -> tuple:
-    if isinstance(node, Term):
-        return terms._children(node)
-    return _expr_children(node)
+def _affinize(root, arity: int, ctx: _CellCtx, local: dict, den: int) -> tuple[int, ...]:
+    """Int form equal to the function of ``root`` on the cell, over 1 for
+    a term and over ``den`` for a lattice expression.
 
-
-def _affinize(root, arity: int, ctx: _CellCtx, local: dict[int, AffineForm]):
-    """Affine form equal to the function of ``root`` on the cell.
-
-    Resolutions that hold on the whole cube are cached globally (for
-    terms) so repeated cells and repeated calls share the work.  Raises
-    `_Split` when some internal choice changes sign on the cell.
+    Each node is resolved once, with one lookup per child.  Resolutions
+    that hold on the whole cube are cached globally (for terms) so
+    repeated cells and repeated calls share the work.  Raises `_Split`
+    when some internal choice changes sign on the cell.
     """
-    pure_flags: dict[int, bool] = {}
-
-    def lookup(node):
-        if isinstance(node, Term):
-            form = _TERM_CUBE_CACHE.get((id(node), arity))
-            if form is not None:
-                return form, True
-        got = local.get(id(node))
-        if got is not None:
-            return got, pure_flags.get(id(node), False)
-        return None, False
-
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        found, _ = lookup(node)
-        if found is not None:
-            stack.pop()
+    is_term = isinstance(root, Term)
+    children = terms._children if is_term else _expr_children
+    # Lattice nodes are never cached across calls: their cube dict is empty.
+    cube = _TERM_CUBE_CACHE.setdefault(arity, {}) if is_term else {}
+    form = cube.get(id(root))
+    if form is None:
+        form = local.get(id(root))
+    if form is not None:
+        return form
+    one = (1,) + (0,) * arity
+    # Frames: [node, children last first, their forms so far, all of them
+    # pure].  Children resolve last first: the order fixes which sign test
+    # splits a cell first, and so the cells and witnesses.
+    stack = [[root, children(root)[::-1], [], True]]
+    while True:
+        frame = stack[-1]
+        node, kids, forms, pure = frame
+        if len(forms) < len(kids):
+            kid = kids[len(forms)]
+            form = cube.get(id(kid))
+            if form is None:
+                form = local.get(id(kid))
+                if form is None:
+                    stack.append([kid, children(kid)[::-1], [], True])
+                    continue
+                frame[3] = False
+            forms.append(form)
             continue
-        kids = _node_children(node)
-        missing = [k for k in kids if lookup(k)[0] is None]
-        if missing:
-            stack.extend(missing)
-            continue
-        resolved = [lookup(k) for k in kids]
-        forms = [r[0] for r in resolved]
-        pure = all(r[1] for r in resolved)
 
-        if isinstance(node, terms.Zero):
-            form = const_form(arity, 0)
-        elif isinstance(node, terms.One):
-            form = const_form(arity, 1)
-        elif isinstance(node, terms.Var):
-            if node.index > arity:
-                raise DomainError("term variable index exceeds arity")
-            form = unit_form(arity, node.index)
-        elif isinstance(node, terms.Neg):
-            form = const_form(arity, 1) - forms[0]
-        elif isinstance(node, terms.Oplus):
-            total = forms[0] + forms[1]
-            overflow = total.shifted(-1)
+        if isinstance(node, terms.Oplus):
+            total = tuple(map(add, forms[0], forms[1]))
+            overflow = (total[0] - 1, *total[1:])
             sign, from_box = ctx.sign(overflow)
             if sign is None:
                 raise _Split(overflow)
-            form = const_form(arity, 1) if sign > 0 else total
+            form = one if sign > 0 else total
             pure = pure and from_box
+        elif isinstance(node, terms.Neg):
+            child = forms[0]
+            form = (1 - child[0], *(-v for v in child[1:]))
+        elif isinstance(node, terms.Var):
+            if node.index > arity:
+                raise DomainError("term variable index exceeds arity")
+            form = tuple(int(i == node.index) for i in range(arity + 1))
+        elif isinstance(node, terms.Zero):
+            form = (0,) * (arity + 1)
+        elif isinstance(node, terms.One):
+            form = one
         elif isinstance(node, Leaf):
-            form = node.form
+            form = _scaled(node.form, den)
         else:  # MinOf / MaxOf
             want_min = isinstance(node, MinOf)
+            forms.reverse()
             form = forms[0]
             for cand in forms[1:]:
-                delta = form - cand
-                if delta.is_constant:
-                    better = delta.constant > 0 if want_min else delta.constant < 0
+                delta = tuple(map(sub, form, cand))
+                if not any(delta[1:]):
+                    better = delta[0] > 0 if want_min else delta[0] < 0
                     if better:
                         form = cand
                     continue
-                sign, from_box = ctx.sign(delta)
-                pure = pure and from_box
+                sign, _ = ctx.sign(delta)
                 if sign is None:
                     raise _Split(delta)
                 if (want_min and sign > 0) or (not want_min and sign < 0):
                     form = cand
 
-        if pure and isinstance(node, Term):
-            _TERM_CUBE_CACHE[(id(node), arity)] = form
+        if pure and is_term:
+            cube[id(node)] = form
         else:
             local[id(node)] = form
-            pure_flags[id(node)] = pure
         stack.pop()
-    return lookup(root)[0]
+        if not stack:
+            return form
+        parent = stack[-1]
+        parent[2].append(form)
+        if not pure:
+            parent[3] = False
+
+
+def _denominator(obj) -> int:
+    """Common denominator of the leaf coefficients of a lattice
+    expression; 1 for a term."""
+    den = 1
+    stack = [] if isinstance(obj, Term) else [obj]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            form = node.form
+            den = lcm(den, *(v.denominator for v in (form.constant, *form.coeffs)))
+        else:
+            stack.extend(node.children)
+    return den
 
 
 FunctionLike = Union[Term, PwlExpr]
@@ -374,8 +448,10 @@ def function_leq(
     Works directly on the shared DAG: each candidate cell is refined only
     when some clamp or lattice choice genuinely changes sign on it, so
     the cost tracks the functions' true piecewise structure rather than
-    their syntax size.  The tests check it against the reference
-    procedure in ``tests/oracles.py``.
+    their syntax size.  Affine forms are int tuples (see above), so no
+    rational arithmetic runs outside the LPs; the tests check that every
+    verdict and witness is the one the same procedure over ``Fraction``
+    gives.
     """
     _check_operand(lhs, arity)
     _check_operand(rhs, arity)
@@ -384,6 +460,10 @@ def function_leq(
         if lp_optimize(const_form(arity, 0), region) is None:
             return Decision(True)  # empty region: vacuously true
         raise DomainError("region has points but empty interior; not supported")
+    den = lcm(_denominator(lhs), _denominator(rhs))
+    # The final difference is over den; a term's forms are over 1.
+    lhs_up = den if isinstance(lhs, Term) else 1
+    rhs_up = den if isinstance(rhs, Term) else 1
     todo: list[tuple[Polytope, object, dict, dict]] = [(region, None, {}, {})]
     while todo:
         piece, point, signs, local = todo.pop()
@@ -391,27 +471,28 @@ def function_leq(
             point = interior_point(piece)
             if point is None:
                 continue  # empty-interior pieces are covered by siblings
-        ctx = _CellCtx(piece, point)
-        ctx.signs = signs
+        ctx = _CellCtx(piece, point, signs)
         try:
-            fa = _affinize(lhs, arity, ctx, local)
-            fb = _affinize(rhs, arity, ctx, local)
+            fa = _affinize(lhs, arity, ctx, local, den)
+            fb = _affinize(rhs, arity, ctx, local, den)
         except _Split as split:
             # Everything resolved so far holds on both halves (they are
             # subsets of this piece), so the children inherit the work;
             # only still-ambiguous sign entries must be dropped.  The
             # interior point is inherited by the half it strictly
             # satisfies.
-            canon, flipped = split.form.canonical()
-            value = split.form.evaluate(point)
+            canon, flipped = _canonical(split.form)
+            value = ctx.value_sign(split.form)
             kept = {k: v for k, v in ctx.signs.items() if v is not None}
             le_signs = dict(kept)
             le_signs[canon] = 1 if flipped else -1
             ge_signs = kept
             ge_signs[canon] = -1 if flipped else 1
+            form = _affine(canon)
+            le, ge = (form.negated(), form) if flipped else (form, form.negated())
             todo.append(
                 (
-                    piece.with_constraints((split.form.negated(),)),
+                    piece.with_constraints((ge,)),
                     point if value > 0 else None,
                     ge_signs,
                     dict(local),
@@ -419,19 +500,23 @@ def function_leq(
             )
             todo.append(
                 (
-                    piece.with_constraints((split.form,)),
+                    piece.with_constraints((le,)),
                     point if value < 0 else None,
                     le_signs,
                     local,
                 )
             )
             continue
-        diff = fa - fb
-        if diff.bounds()[1] <= 0:
+        if lhs_up > 1:
+            fa = tuple(lhs_up * v for v in fa)
+        if rhs_up > 1:
+            fb = tuple(rhs_up * v for v in fb)
+        diff = tuple(map(sub, fa, fb))
+        if diff[0] + sum(v for v in diff[1:] if v > 0) <= 0:
             continue
         # Witness at the maximal violation: such points sit on cell
         # vertices, which is what ideal-membership refutation needs.
-        res = lp_optimize(diff, piece)
+        res = lp_optimize(_affine(diff, den), piece)
         if res is not None and res.optimum > 0:
             return Decision(False, res.witness)
     return Decision(True)

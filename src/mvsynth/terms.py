@@ -4,8 +4,9 @@ The core connectives are ``0``, ``1``, ``(var i)``, ``(neg t)`` and
 ``(oplus s t)``.  The derived connectives ``otimes`` (strong conjunction),
 ``ominus`` (truncated difference), ``wedge``/``vee`` (lattice meet/join)
 and ``dist`` (symmetric difference) expand into the core at construction
-time.  Evaluation is exact over `fractions.Fraction`; on the unit cube a
-term always evaluates into [0, 1].
+time.  Evaluation is exact: it runs on integer numerators over the
+point's common denominator and returns a `fractions.Fraction`; on the
+unit cube a term always evaluates into [0, 1].
 
 Every node is interned: structurally equal terms are the same object, so
 equality and hashing are O(1) and large terms share subtrees freely.
@@ -16,15 +17,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import DomainError, TermSyntaxError
 
 Rational = Union[int, Fraction]
 Point = "tuple[Fraction, ...]"
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class Term:
@@ -171,12 +170,18 @@ def as_point(coords: Iterable[Rational]) -> tuple[Fraction, ...]:
 def eval_term(t: Term, point: Sequence[Rational]) -> Fraction:
     """Evaluate a term at a rational point of the unit cube, exactly.
 
-    Iterative over the term DAG, so arbitrarily deep shared terms are fine.
+    Runs on integer numerators over D, the common denominator of the
+    point's coordinates: ``0`` is 0, ``1`` is D, ``(neg t)`` is D - t and
+    ``(oplus s t)`` is min(D, s + t).  Every value of a term at the point
+    is a multiple of 1/D, so this is exact; the result is the Fraction
+    v/D.  Iterative over the term DAG, so arbitrarily deep shared terms
+    are fine.
     """
     _require_term(t)
     pt = as_point(point)
     n = len(pt)
-    memo: dict[int, Fraction] = {}
+    den = lcm(*(q.denominator for q in pt))
+    memo: dict[int, int] = {}
     stack = [t]
     while stack:
         node = stack[-1]
@@ -185,38 +190,39 @@ def eval_term(t: Term, point: Sequence[Rational]) -> Fraction:
             stack.pop()
             continue
         if isinstance(node, Zero):
-            memo[nid] = _F0
+            memo[nid] = 0
             stack.pop()
         elif isinstance(node, One):
-            memo[nid] = _F1
+            memo[nid] = den
             stack.pop()
         elif isinstance(node, Var):
             if node.index > n:
                 raise DomainError(
                     f"term uses (var {node.index}) but the point has {n} coordinates"
                 )
-            memo[nid] = pt[node.index - 1]
+            q = pt[node.index - 1]
+            memo[nid] = q.numerator * (den // q.denominator)
             stack.pop()
         elif isinstance(node, Neg):
             cv = memo.get(id(node.child))
             if cv is None:
                 stack.append(node.child)
             else:
-                memo[nid] = 1 - cv
+                memo[nid] = den - cv
                 stack.pop()
         else:  # Oplus
             lv = memo.get(id(node.left))
             rv = memo.get(id(node.right))
             if lv is not None and rv is not None:
                 s = lv + rv
-                memo[nid] = s if s < 1 else _F1
+                memo[nid] = s if s < den else den
                 stack.pop()
             else:
                 if rv is None:
                     stack.append(node.right)
                 if lv is None:
                     stack.append(node.left)
-    return memo[id(t)]
+    return Fraction(memo[id(t)], den)
 
 
 # --- text format ------------------------------------------------------------

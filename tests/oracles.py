@@ -13,11 +13,20 @@ differences are enumerated, and inside a cell both expressions are
 affine, so one LP settles the cell.  ``term_to_pwl`` translates a term
 into an equivalent lattice expression through a max-of-min normal form,
 which can grow exponentially; it lets the oracle compare small terms.
+
+``function_leq_fraction`` / ``function_eq_fraction`` and
+``eval_term_fraction`` are ``mvsynth.pwl.function_leq`` /
+``function_eq`` and ``mvsynth.terms.eval_term`` as they were before the
+library moved to integer arithmetic: every affine form is an
+`AffineForm` over ``Fraction`` and every value a ``Fraction``.  They make
+the same sign tests in the same order, so the library must return the
+identical `Decision` (verdict and witness) and the identical value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from mvsynth import terms
 from mvsynth.errors import DomainError
@@ -33,20 +42,24 @@ from mvsynth.geometry import (
 )
 from mvsynth.pwl import (
     Decision,
+    FunctionLike,
     Leaf,
     MaxOf,
     MinOf,
     PwlExpr,
+    _check_operand,
     _check_region,
+    _expr_children,
     _resolve_at,
     max_of,
     min_of,
     pwl_arity,
     pwl_leaves,
 )
-from mvsynth.terms import Term
+from mvsynth.terms import Rational, Term
 
 _F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 def simplex_max_fraction(
@@ -384,3 +397,288 @@ def decide_eq(
     if not forward:
         return forward
     return decide_leq(rhs, lhs, region)
+
+
+# --- the adaptive decision procedure over Fraction ---------------------------
+
+class _Split(Exception):
+    """Raised during cell resolution when a form changes sign on the cell."""
+
+    def __init__(self, form: AffineForm):
+        self.form = form
+
+
+class _CellCtx:
+    __slots__ = ("polytope", "point", "signs")
+
+    def __init__(self, polytope: Polytope, point: tuple[Fraction, ...]):
+        self.polytope = polytope
+        self.point = point
+        self.signs: dict[AffineForm, int | None] = {}
+
+    def sign(self, form: AffineForm) -> tuple[int | None, bool]:
+        """Sign of ``form`` on the cell: -1 (<= 0 everywhere), +1 (>= 0
+        everywhere) or None (both).  Second component: True when the
+        answer holds on the whole cube, not just this cell."""
+        if form.is_constant:
+            return (1 if form.constant >= 0 else -1), True
+        lo, hi = form.bounds()
+        if hi <= 0:
+            return -1, True
+        if lo >= 0:
+            return 1, True
+        canon, flipped = form.canonical()
+        if canon in self.signs:
+            sign = self.signs[canon]
+        else:
+            value = canon.evaluate(self.point)
+            if value > 0:
+                res = lp_optimize(canon, self.polytope, "min")
+                sign = 1 if res.optimum >= 0 else None
+            elif value < 0:
+                res = lp_optimize(canon, self.polytope)
+                sign = -1 if res.optimum <= 0 else None
+            else:
+                hi_res = lp_optimize(canon, self.polytope)
+                if hi_res.optimum <= 0:
+                    sign = -1
+                else:
+                    lo_res = lp_optimize(canon, self.polytope, "min")
+                    sign = 1 if lo_res.optimum >= 0 else None
+            self.signs[canon] = sign
+        if sign is not None and flipped:
+            sign = -sign
+        return sign, False
+
+
+# Cube-wide resolutions of interned term nodes, keyed by (node id, arity).
+# Terms are immortal (the intern table keeps them alive) so id-keyed
+# caching is safe; PwlExpr nodes are not interned and must not be cached
+# across calls.
+_TERM_CUBE_CACHE: dict[tuple[int, int], AffineForm] = {}
+
+
+def _node_children(node) -> tuple:
+    if isinstance(node, Term):
+        return terms._children(node)
+    return _expr_children(node)
+
+
+def _affinize(root, arity: int, ctx: _CellCtx, local: dict[int, AffineForm]):
+    """Affine form equal to the function of ``root`` on the cell.
+
+    Resolutions that hold on the whole cube are cached globally (for
+    terms) so repeated cells and repeated calls share the work.  Raises
+    `_Split` when some internal choice changes sign on the cell.
+    """
+    pure_flags: dict[int, bool] = {}
+
+    def lookup(node):
+        if isinstance(node, Term):
+            form = _TERM_CUBE_CACHE.get((id(node), arity))
+            if form is not None:
+                return form, True
+        got = local.get(id(node))
+        if got is not None:
+            return got, pure_flags.get(id(node), False)
+        return None, False
+
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        found, _ = lookup(node)
+        if found is not None:
+            stack.pop()
+            continue
+        kids = _node_children(node)
+        missing = [k for k in kids if lookup(k)[0] is None]
+        if missing:
+            stack.extend(missing)
+            continue
+        resolved = [lookup(k) for k in kids]
+        forms = [r[0] for r in resolved]
+        pure = all(r[1] for r in resolved)
+
+        if isinstance(node, terms.Zero):
+            form = const_form(arity, 0)
+        elif isinstance(node, terms.One):
+            form = const_form(arity, 1)
+        elif isinstance(node, terms.Var):
+            if node.index > arity:
+                raise DomainError("term variable index exceeds arity")
+            form = unit_form(arity, node.index)
+        elif isinstance(node, terms.Neg):
+            form = const_form(arity, 1) - forms[0]
+        elif isinstance(node, terms.Oplus):
+            total = forms[0] + forms[1]
+            overflow = total.shifted(-1)
+            sign, from_box = ctx.sign(overflow)
+            if sign is None:
+                raise _Split(overflow)
+            form = const_form(arity, 1) if sign > 0 else total
+            pure = pure and from_box
+        elif isinstance(node, Leaf):
+            form = node.form
+        else:  # MinOf / MaxOf
+            want_min = isinstance(node, MinOf)
+            form = forms[0]
+            for cand in forms[1:]:
+                delta = form - cand
+                if delta.is_constant:
+                    better = delta.constant > 0 if want_min else delta.constant < 0
+                    if better:
+                        form = cand
+                    continue
+                sign, from_box = ctx.sign(delta)
+                pure = pure and from_box
+                if sign is None:
+                    raise _Split(delta)
+                if (want_min and sign > 0) or (not want_min and sign < 0):
+                    form = cand
+
+        if pure and isinstance(node, Term):
+            _TERM_CUBE_CACHE[(id(node), arity)] = form
+        else:
+            local[id(node)] = form
+            pure_flags[id(node)] = pure
+        stack.pop()
+    return lookup(root)[0]
+
+
+def function_leq_fraction(
+    lhs: FunctionLike,
+    rhs: FunctionLike,
+    arity: int,
+    region: Polytope | None = None,
+) -> Decision:
+    """Exact pointwise <= between term functions and/or lattice
+    expressions over the region (default: whole cube).
+
+    Works directly on the shared DAG: each candidate cell is refined only
+    when some clamp or lattice choice genuinely changes sign on it, so
+    the cost tracks the functions' true piecewise structure rather than
+    their syntax size.
+    """
+    _check_operand(lhs, arity)
+    _check_operand(rhs, arity)
+    region = _check_region(region, arity)
+    if interior_point(region) is None:
+        if lp_optimize(const_form(arity, 0), region) is None:
+            return Decision(True)  # empty region: vacuously true
+        raise DomainError("region has points but empty interior; not supported")
+    todo: list[tuple[Polytope, object, dict, dict]] = [(region, None, {}, {})]
+    while todo:
+        piece, point, signs, local = todo.pop()
+        if point is None:
+            point = interior_point(piece)
+            if point is None:
+                continue  # empty-interior pieces are covered by siblings
+        ctx = _CellCtx(piece, point)
+        ctx.signs = signs
+        try:
+            fa = _affinize(lhs, arity, ctx, local)
+            fb = _affinize(rhs, arity, ctx, local)
+        except _Split as split:
+            # Everything resolved so far holds on both halves (they are
+            # subsets of this piece), so the children inherit the work;
+            # only still-ambiguous sign entries must be dropped.  The
+            # interior point is inherited by the half it strictly
+            # satisfies.
+            canon, flipped = split.form.canonical()
+            value = split.form.evaluate(point)
+            kept = {k: v for k, v in ctx.signs.items() if v is not None}
+            le_signs = dict(kept)
+            le_signs[canon] = 1 if flipped else -1
+            ge_signs = kept
+            ge_signs[canon] = -1 if flipped else 1
+            todo.append(
+                (
+                    piece.with_constraints((split.form.negated(),)),
+                    point if value > 0 else None,
+                    ge_signs,
+                    dict(local),
+                )
+            )
+            todo.append(
+                (
+                    piece.with_constraints((split.form,)),
+                    point if value < 0 else None,
+                    le_signs,
+                    local,
+                )
+            )
+            continue
+        diff = fa - fb
+        if diff.bounds()[1] <= 0:
+            continue
+        # Witness at the maximal violation: such points sit on cell
+        # vertices, which is what ideal-membership refutation needs.
+        res = lp_optimize(diff, piece)
+        if res is not None and res.optimum > 0:
+            return Decision(False, res.witness)
+    return Decision(True)
+
+
+def function_eq_fraction(
+    lhs: FunctionLike,
+    rhs: FunctionLike,
+    arity: int,
+    region: Polytope | None = None,
+) -> Decision:
+    forward = function_leq_fraction(lhs, rhs, arity, region)
+    if not forward:
+        return forward
+    return function_leq_fraction(rhs, lhs, arity, region)
+
+
+# --- term evaluation over Fraction ---------------------------------------------
+
+def eval_term_fraction(t: Term, point: Sequence[Rational]) -> Fraction:
+    """Evaluate a term at a rational point of the unit cube, exactly.
+
+    Iterative over the term DAG, so arbitrarily deep shared terms are fine.
+    """
+    terms._require_term(t)
+    pt = terms.as_point(point)
+    n = len(pt)
+    memo: dict[int, Fraction] = {}
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        nid = id(node)
+        if nid in memo:
+            stack.pop()
+            continue
+        if isinstance(node, terms.Zero):
+            memo[nid] = _F0
+            stack.pop()
+        elif isinstance(node, terms.One):
+            memo[nid] = _F1
+            stack.pop()
+        elif isinstance(node, terms.Var):
+            if node.index > n:
+                raise DomainError(
+                    f"term uses (var {node.index}) but the point has {n} coordinates"
+                )
+            memo[nid] = pt[node.index - 1]
+            stack.pop()
+        elif isinstance(node, terms.Neg):
+            cv = memo.get(id(node.child))
+            if cv is None:
+                stack.append(node.child)
+            else:
+                memo[nid] = 1 - cv
+                stack.pop()
+        else:  # Oplus
+            lv = memo.get(id(node.left))
+            rv = memo.get(id(node.right))
+            if lv is not None and rv is not None:
+                s = lv + rv
+                memo[nid] = s if s < 1 else _F1
+                stack.pop()
+            else:
+                if rv is None:
+                    stack.append(node.right)
+                if lv is None:
+                    stack.append(node.left)
+    return memo[id(t)]

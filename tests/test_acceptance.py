@@ -2,6 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they print.  Every check is exact (rational arithmetic, no tolerances).
+One further test reuses the synthesized corpus to hold the decision
+procedure to its Fraction reference.
 """
 
 import json
@@ -24,7 +26,7 @@ from conftest import (
     random_polytope,
     random_pwl_pair,
 )
-from oracles import decide_leq
+from oracles import decide_leq, function_eq_fraction, function_leq_fraction
 
 F = Fraction
 CAP = 65536
@@ -79,6 +81,22 @@ def test_criterion_2_synthesis_corpus(synthesized):
         if not (crt_ok and direct_ok and cross_ok):
             failures.append((name, bool(crt_ok), bool(direct_ok), bool(cross_ok)))
     _report(2, "end-to-end synthesis corpus", failures)
+
+
+def test_final_certificate_matches_fraction_oracle(synthesized):
+    """The integer decision procedure certifies every corpus output with
+    the decisions of the Fraction reference, and compares it with the
+    constant 1/2 (a common denominator of 2) with the same verdicts and
+    witnesses."""
+    for name, description, crt_term, _, _ in synthesized:
+        arity = mv.pwl_arity(description)
+        certificate = mv.function_eq(crt_term, description, arity)
+        assert certificate == function_eq_fraction(crt_term, description, arity), name
+        assert certificate, name
+        half = mv.leaf(mv.const_form(arity, F(1, 2)))
+        for lhs, rhs in ((crt_term, half), (half, crt_term)):
+            verdict = mv.function_leq(lhs, rhs, arity)
+            assert verdict == function_leq_fraction(lhs, rhs, arity), name
 
 
 def test_criterion_3_gluing_congruences(synthesized):

@@ -77,6 +77,29 @@ def test_synth_output_file(capsys, abs_file, tmp_path):
     mv.parse_term(text)
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_synth_unwritable_output_is_malformed(capsys, abs_file, tmp_path, where):
+    target = tmp_path / "no" / "such" / "x.term" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, "synth", "--input", abs_file, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output:")
+    assert "Traceback" not in err
+
+
+def test_internal_error_exits_5(capsys, abs_file, monkeypatch):
+    import mvsynth.cli as cli
+
+    def broken(*args, **kwargs):
+        raise mv.CertificationError("final certificate failed")
+
+    monkeypatch.setattr(cli, "synthesize_crt", broken)
+    code, out, err = run(capsys, "synth", "--input", abs_file)
+    assert code == 5
+    assert out == ""
+    assert err == "internal error: CertificationError: final certificate failed\n"
+
+
 def test_synth_malformed_json(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import mvsynth as mv
 from conftest import grid_points, random_point, random_pwl, random_pwl_pair, random_term
-from oracles import decide_leq, term_to_pwl
+from oracles import decide_leq, function_leq_fraction, term_to_pwl
 
 F = Fraction
 
@@ -171,10 +171,15 @@ def test_function_leq_matches_decide_leq():
 
 
 def _pwl_trees(arity: int, depth: int, width: int):
+    # Integer and rational entries (denominators up to 6), so the common
+    # denominator of a comparison ranges from 1 to the lcm of 2..6.
+    entries = st.one_of(
+        st.integers(-3, 3), st.builds(F, st.integers(-6, 6), st.integers(2, 6))
+    )
     leaves = st.builds(
         lambda constant, coeffs: L(constant, *coeffs),
-        st.integers(-3, 3),
-        st.lists(st.integers(-3, 3), min_size=arity, max_size=arity),
+        entries,
+        st.lists(entries, min_size=arity, max_size=arity),
     )
     trees = leaves
     for _ in range(depth):
@@ -197,6 +202,7 @@ def test_function_leq_agrees_with_oracle_property(arity, data):
     verdict = mv.function_leq(lhs, rhs, arity)
     reference = decide_leq(lhs, rhs)
     assert bool(verdict) == bool(reference)
+    assert verdict == function_leq_fraction(lhs, rhs, arity)
     for decision in (verdict, reference):
         if not decision:
             w = decision.witness
