@@ -89,7 +89,8 @@ class RegionGroup:
     ordering: 1-based constituent indices, ascending by clamped value on
     every member cell (ties broken by index).  selected: the constituent
     whose clamp equals the described function on every member cell
-    (verified, not assumed).
+    (verified, not assumed).  term: the certified `linear_term` of the
+    selected constituent.
     """
 
     ordering: tuple[int, ...]
@@ -97,6 +98,7 @@ class RegionGroup:
     points: tuple[tuple[Fraction, ...], ...]
     selected: int
     ideal: PrincipalIdeal
+    term: Term
 
 
 @dataclass
@@ -152,10 +154,7 @@ def ideal_for_order(
 
 
 def membership_bound(
-    element: Term,
-    ideal: PrincipalIdeal,
-    cap: int = DEFAULT_CAP,
-    probe_points: Sequence[tuple[Fraction, ...]] = (),
+    element: Term, ideal: PrincipalIdeal, cap: int = DEFAULT_CAP
 ) -> int:
     """Smallest tested multiplier m (doubling 1, 2, 4, ...) with
     element <= m * generator everywhere on the cube.
@@ -163,31 +162,21 @@ def membership_bound(
     Raises `NotMemberError` as soon as some failure witness lies in the
     generator's zero set while the element is positive there (no m can
     ever work), and `CapExceededError` when the cap is passed without
-    resolution.  ``probe_points`` are candidate refutation points tried
-    before the full decision procedure; they only speed things up.
+    resolution.
     """
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise DomainError(f"cap must be an integer >= 1, got {cap!r}")
     gen = ideal.generator
-    probes = list(probe_points)
     m = 1
     while m <= cap:
-        candidate = iterate_oplus(m, gen)
-        witness = None
-        for p in probes:
-            if eval_term(element, p) > eval_term(candidate, p):
-                witness = p
-                break
-        if witness is None:
-            verdict = function_leq(element, candidate, ideal.arity)
-            if verdict:
-                return m
-            witness = verdict.witness
+        verdict = function_leq(element, iterate_oplus(m, gen), ideal.arity)
+        if verdict:
+            return m
+        witness = verdict.witness
         if eval_term(gen, witness) == 0 and eval_term(element, witness) > 0:
             raise NotMemberError(
                 "element is positive on the generator's zero set", witness
             )
-        probes.append(witness)
         m *= 2
     raise CapExceededError(cap)
 
@@ -207,7 +196,6 @@ def combine_pair(
     ideal2: PrincipalIdeal,
     cap: int = DEFAULT_CAP,
     trace: SynthesisTrace | None = None,
-    probe_points: Sequence[tuple[Fraction, ...]] = (),
 ) -> Term:
     """Glue two terms congruent modulo the joined ideal into one term
     congruent to a1 modulo ideal1 and to a2 modulo ideal2.
@@ -220,8 +208,8 @@ def combine_pair(
         raise DomainError("ideal arity mismatch")
     join = PrincipalIdeal(oplus(ideal1.generator, ideal2.generator), ideal1.arity)
     try:
-        m1 = membership_bound(ominus(a1, a2), join, cap, probe_points)
-        m2 = membership_bound(ominus(a2, a1), join, cap, probe_points)
+        m1 = membership_bound(ominus(a1, a2), join, cap)
+        m2 = membership_bound(ominus(a2, a1), join, cap)
     except NotMemberError as ex:
         raise NotCongruentError(
             "sides differ where the joined ideal's generator vanishes",
@@ -244,7 +232,6 @@ def chinese_glue(
     pairs: Sequence[tuple[Term, PrincipalIdeal]],
     cap: int = DEFAULT_CAP,
     trace: SynthesisTrace | None = None,
-    probe_points: Sequence[tuple[Fraction, ...]] = (),
 ) -> Term:
     """Fold `combine_pair` over (term, ideal) pairs, intersecting the
     accumulated ideal as it goes; the result is congruent to every input
@@ -259,7 +246,7 @@ def chinese_glue(
     acc, acc_ideal = items[0]
     for idx, (term, ideal) in enumerate(items[1:], start=2):
         try:
-            acc = combine_pair(acc, term, acc_ideal, ideal, cap, trace, probe_points)
+            acc = combine_pair(acc, term, acc_ideal, ideal, cap, trace)
         except NotCongruentError as ex:
             ex.index = idx
             raise
@@ -390,6 +377,7 @@ def analyze_regions(description: PwlExpr) -> list[RegionGroup]:
                 tuple(cell.point for cell in members),
                 selected,
                 ideal_for_order(ordering, constituent_terms, arity),
+                constituent_terms[selected - 1],
             )
         )
     return groups
@@ -406,13 +394,8 @@ def synthesize_crt(
     groups = analyze_regions(description)
     if trace is not None:
         trace.groups = list(groups)
-    constituents = pwl_leaves(description)
-    probes = [pt for group in groups for pt in group.points]
-    pairs = [
-        (linear_term(constituents[group.selected - 1]), group.ideal)
-        for group in groups
-    ]
-    result = chinese_glue(pairs, cap=cap, trace=trace, probe_points=probes)
+    pairs = [(group.term, group.ideal) for group in groups]
+    result = chinese_glue(pairs, cap=cap, trace=trace)
     verdict = function_eq(result, description, arity)
     if not verdict:
         raise CertificationError(

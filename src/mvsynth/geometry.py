@@ -1,11 +1,11 @@
 """Exact rational geometry inside the unit cube.
 
-Affine forms with rational coefficients, polytopes given by ``form <= 0``
-constraints (the cube bounds ``0 <= x_i <= 1`` are always implicit), an
-exact two-phase simplex with Bland's rule on a fraction-free integer
-tableau, interior-point computation via a uniform-slack program, and
-sign-branching cell enumeration for finite form families.  Everything is
-deterministic and float-free.
+Affine forms with rational coefficients, polytopes stored as settled
+integer half-spaces ``d.x <= beta`` (the cube bounds ``0 <= x_i <= 1``
+are always implicit), an exact two-phase simplex with Bland's rule on a
+fraction-free integer tableau, interior-point computation via a
+uniform-slack program, and sign-branching cell enumeration for finite
+form families.  Everything is deterministic and float-free.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import DomainError
@@ -94,8 +95,8 @@ class AffineForm:
         hi = self.constant + sum((c for c in self.coeffs if c > 0), _F0)
         return lo, hi
 
-    def halfspace(self) -> tuple[tuple[Fraction, ...], Fraction]:
-        """(d, beta) with d the positive-primitive integer direction such
+    def halfspace(self) -> tuple[tuple[int, ...], Fraction]:
+        """(d, beta) with d the primitive integer direction such
         that {self <= 0} equals {d.x <= beta}.  Requires a non-constant
         form (positive rescaling preserves the half-space)."""
         scale = Fraction(lcm(*(c.denominator for c in self.coeffs)))
@@ -104,7 +105,7 @@ class AffineForm:
         if g == 0:
             raise DomainError("constant form has no direction")
         lam = Fraction(g, 1) / scale  # positive
-        return tuple(Fraction(v // g) for v in ints), -self.constant / lam
+        return tuple(v // g for v in ints), -self.constant / lam
 
     def canonical(self) -> tuple["AffineForm", bool]:
         """Primitive integer representative with positive leading entry.
@@ -162,50 +163,51 @@ def const_form(arity: int, value: Rational) -> AffineForm:
     return AffineForm(_as_fraction(value), (_F0,) * arity)
 
 
+Halfspace = tuple[tuple[int, ...], Fraction]
+
+
 @dataclass(frozen=True)
 class Polytope:
-    """Intersection of ``form <= 0`` half-spaces with the unit cube."""
+    """Intersection of half-spaces ``(d, beta)``, meaning ``d.x <= beta``,
+    with the unit cube.
+
+    ``d`` is a primitive integer direction with one half-space each (the
+    tightest), in first-occurrence order; a violated constant constraint
+    is the zero direction with ``beta < 0``.  Build polytopes with
+    ``cube(n).with_constraints(forms)``.
+    """
 
     arity: int
-    constraints: tuple[AffineForm, ...] = ()
+    constraints: tuple[Halfspace, ...] = ()
 
     def __post_init__(self):
-        for g in self.constraints:
-            if g.arity != self.arity:
+        for d, _ in self.constraints:
+            if len(d) != self.arity:
                 raise DomainError("constraint arity mismatch")
 
     def with_constraints(self, extra: Iterable[AffineForm]) -> "Polytope":
-        """Extend by further ``form <= 0`` constraints, merging parallel
-        half-spaces (only the tightest offset per direction is kept).
-        This keeps LP row counts and rational magnitudes small when
+        """Extend by further ``form <= 0`` constraints.  Only the new forms
+        are normalized; a parallel half-space keeps the tightest offset,
+        which keeps LP row counts and rational magnitudes small when
         constraints pile up during recursive splitting."""
-        order: list[tuple] = []
-        tightest: dict[tuple, Fraction] = {}
-        infeasible: AffineForm | None = None
-        for g in (*self.constraints, *extra):
+        tightest = dict(self.constraints)
+        for g in extra:
             if g.is_constant:
-                if g.constant > 0 and infeasible is None:
-                    infeasible = g
-                continue
-            direction, offset = g.halfspace()
-            if direction not in tightest:
-                order.append(direction)
-                tightest[direction] = offset
-            elif offset < tightest[direction]:
-                tightest[direction] = offset
-        merged = [
-            AffineForm(-tightest[d], d) for d in order
-        ]
-        if infeasible is not None:
-            merged.append(infeasible)
-        return Polytope(self.arity, tuple(merged))
+                if g.constant <= 0:
+                    continue  # vacuous
+                d, beta = (0,) * self.arity, -g.constant
+            else:
+                d, beta = g.halfspace()
+            if d not in tightest or beta < tightest[d]:
+                tightest[d] = beta
+        return Polytope(self.arity, tuple(tightest.items()))
 
     def contains(self, point: Sequence[Fraction]) -> bool:
         if len(point) != self.arity:
             raise DomainError("point arity mismatch")
         if any(p < 0 or p > 1 for p in point):
             return False
-        return all(g.evaluate(point) <= 0 for g in self.constraints)
+        return all(sum(map(mul, d, point)) <= beta for d, beta in self.constraints)
 
 
 def cube(arity: int) -> Polytope:
@@ -255,27 +257,33 @@ def lp_optimize(
         return hit
 
     n = polytope.arity
-    rows: list[tuple[list[Fraction], Fraction]] = []
-    feasible = True
-    for g in polytope.constraints:
-        if g.is_constant:
-            if g.constant > 0:
-                feasible = False
-                break
-            continue  # trivially satisfied
-        rows.append((list(g.coeffs), -g.constant))
+    rows = _kernel_rows(polytope, ())
     result: LpResult | None = None
-    if feasible:
-        for i in range(n):
-            rows.append(([_F1 if j == i else _F0 for j in range(n)], _F1))
+    if rows is not None:
         coeffs = list(objective.coeffs)
         if sense == "min":
             coeffs = [-c for c in coeffs]
-        x = _simplex_max(coeffs, rows, n)
+        x = _simplex_max(coeffs, rows + _cube_rows(n), n)
         if x is not None:
             result = LpResult(objective.evaluate(x), x)
     _cache_put(_LP_CACHE, key, result)
     return result
+
+
+def _kernel_rows(polytope: Polytope, slack: tuple[int, ...]) -> list | None:
+    """Kernel rows ``(d + slack, beta)`` of the half-spaces; None when one
+    is a violated constant constraint (the polytope is empty, no LP)."""
+    rows = []
+    for d, beta in polytope.constraints:
+        if not any(d) and beta < 0:
+            return None
+        rows.append((d + slack, beta))
+    return rows
+
+
+def _cube_rows(n: int) -> list:
+    """The cube's upper bounds ``x_i <= 1`` as kernel rows."""
+    return [([int(j == i) for j in range(n)], 1) for i in range(n)]
 
 
 def _simplex_max(
@@ -435,38 +443,23 @@ def interior_point(polytope: Polytope) -> tuple[Fraction, ...] | None:
     """A point satisfying every constraint and every cube bound strictly,
     or None when no such point exists (empty or lower-dimensional body).
 
-    Found by maximizing a uniform slack variable with `lp_optimize`;
-    deterministic, exact, and square-root free.
+    Found by maximizing a uniform slack ``s`` subject to ``d.x + s <=
+    beta``, ``s <= x_i`` and ``x_i + s <= 1``; deterministic, exact, and
+    square-root free.
     """
     key = polytope
     if key in _INTERIOR_CACHE:
         return _INTERIOR_CACHE[key]
     n = polytope.arity
-    constraints = []
+    rows = _kernel_rows(polytope, (1,))
     result: tuple[Fraction, ...] | None = None
-    trivially_empty = False
-    for g in polytope.constraints:
-        if g.is_constant:
-            if g.constant > 0:
-                trivially_empty = True
-                break
-            continue
-        # g(x) + s <= 0
-        constraints.append(AffineForm(g.constant, g.coeffs + (_F1,)))
-    if not trivially_empty:
-        for i in range(n):
-            e = [_F0] * (n + 1)
-            e[i] = -_F1
-            e[n] = _F1
-            constraints.append(AffineForm(_F0, tuple(e)))  # s <= x_i
-            e = [_F0] * (n + 1)
-            e[i] = _F1
-            e[n] = _F1
-            constraints.append(AffineForm(-_F1, tuple(e)))  # x_i + s <= 1
-        slack_obj = AffineForm(_F0, (_F0,) * n + (_F1,))
-        res = lp_optimize(slack_obj, Polytope(n + 1, tuple(constraints)))
-        if res is not None and res.optimum > 0:
-            result = res.witness[:n]
+    if rows is not None:
+        for unit, _ in _cube_rows(n):
+            rows.append(([-v for v in unit] + [1], 0))  # s <= x_i
+            rows.append((unit + [1], 1))  # x_i + s <= 1
+        x = _simplex_max([0] * n + [1], rows + _cube_rows(n + 1), n + 1)
+        if x is not None and x[n] > 0:
+            result = x[:n]
     _cache_put(_INTERIOR_CACHE, key, result)
     return result
 

@@ -8,7 +8,7 @@ total coefficient mass: peeling one occurrence of a variable x off g uses
 
 and peeling ``-x`` rewrites ``g - x = (g - 1) + (1 - x)`` to apply the
 same step to the negated literal.  Both identities are checked per output
-by an exact equality certificate (on by default), not assumed.
+by an exact equality certificate, not assumed.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from .terms import Term, ZERO, ONE, neg, oplus, otimes, var
 _MEMO: dict[tuple, Term] = {}
 
 
-def linear_term(form: AffineForm, certify: bool = True) -> Term:
+def linear_term(form: AffineForm) -> Term:
     """A term evaluating to median(0, g, 1) everywhere on the cube.
 
-    Requires integer constant and coefficients.  With ``certify`` (the
-    default) the output is checked against `truncate_affine` before being
-    returned; a failure would be a construction bug, reported as
-    `CertificationError`.
+    Requires integer constant and coefficients.  The output is checked
+    against `truncate_affine` before being returned; a failure would be a
+    construction bug, reported as `CertificationError`.
     """
     if form.arity < 1:
         raise DomainError("affine form must have arity >= 1")
@@ -36,12 +35,11 @@ def linear_term(form: AffineForm, certify: bool = True) -> Term:
     c0 = int(form.constant)
     coeffs = tuple(int(c) for c in form.coeffs)
     term = _build(c0, coeffs)
-    if certify:
-        verdict = function_eq(term, truncate_affine(form), form.arity)
-        if not verdict:
-            raise CertificationError(
-                "constructed term disagrees with the clamped form", verdict.witness
-            )
+    verdict = function_eq(term, truncate_affine(form), form.arity)
+    if not verdict:
+        raise CertificationError(
+            "constructed term disagrees with the clamped form", verdict.witness
+        )
     return term
 
 

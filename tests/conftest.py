@@ -87,13 +87,13 @@ def random_polytope(rng: random.Random, arity: int, max_constraints: int = 6):
         coeffs = [rng.randint(-3, 3) for _ in range(arity)]
         constant = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         forms.append(mv.AffineForm(constant, tuple(Fraction(c) for c in coeffs)))
-    return mv.Polytope(arity, tuple(forms))
+    return mv.cube(arity).with_constraints(forms)
 
 
 def brute_force_lp(objective, polytope, sense="max"):
     """Vertex-enumeration LP oracle for arity 1 and 2 (test use only)."""
     n = polytope.arity
-    boundaries = list(polytope.constraints)
+    boundaries = [mv.affine(-beta, d) for d, beta in polytope.constraints]
     for i in range(n):
         unit = mv.unit_form(n, i + 1)
         boundaries.append(unit)                 # x_i = 0

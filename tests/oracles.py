@@ -21,11 +21,20 @@ library moved to integer arithmetic: every affine form is an
 `AffineForm` over ``Fraction`` and every value a ``Fraction``.  They make
 the same sign tests in the same order, so the library must return the
 identical `Decision` (verdict and witness) and the identical value.
+
+``settle_forms``, ``lp_rows_fraction`` and ``interior_lp_fraction`` are
+how ``mvsynth.geometry`` kept a polytope as `AffineForm` constraints
+before it stored settled integer half-spaces: every ``with_constraints``
+re-derived the half-space of each form, merged parallel ones and kept the
+first violated constant at the end; ``lp_optimize`` and
+``interior_point`` built their kernel rows from those forms.  The library
+must hand the kernel the same rows in the same order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from mvsynth import terms
@@ -163,6 +172,81 @@ def simplex_max_fraction(
             value = tableau[i][-1]
             x[bv] = Fraction(int(value.numerator), int(value.denominator))
     return tuple(x)
+
+
+# --- polytopes as AffineForm constraints -------------------------------------
+
+def _halfspace_fraction(g: AffineForm) -> tuple[tuple[Fraction, ...], Fraction]:
+    scale = Fraction(lcm(*(c.denominator for c in g.coeffs)))
+    ints = [int(c * scale) for c in g.coeffs]
+    k = gcd(*ints)
+    lam = Fraction(k, 1) / scale
+    return tuple(Fraction(v // k) for v in ints), -g.constant / lam
+
+
+def settle_forms(
+    constraints: tuple[AffineForm, ...], extra: Sequence[AffineForm]
+) -> tuple[AffineForm, ...]:
+    """``with_constraints`` over forms: the tightest form per direction in
+    first-occurrence order, then the first violated constant, if any."""
+    order: list[tuple] = []
+    tightest: dict[tuple, Fraction] = {}
+    infeasible: AffineForm | None = None
+    for g in (*constraints, *extra):
+        if g.is_constant:
+            if g.constant > 0 and infeasible is None:
+                infeasible = g
+            continue
+        direction, offset = _halfspace_fraction(g)
+        if direction not in tightest:
+            order.append(direction)
+            tightest[direction] = offset
+        elif offset < tightest[direction]:
+            tightest[direction] = offset
+    merged = [AffineForm(-tightest[d], d) for d in order]
+    if infeasible is not None:
+        merged.append(infeasible)
+    return tuple(merged)
+
+
+def lp_rows_fraction(
+    arity: int, constraints: Sequence[AffineForm]
+) -> list[tuple[list[Fraction], Fraction]] | None:
+    """The kernel rows of ``lp_optimize`` for ``form <= 0`` constraints and
+    the cube; None when a violated constant makes the LP unnecessary."""
+    rows = []
+    for g in constraints:
+        if g.is_constant:
+            if g.constant > 0:
+                return None
+            continue
+        rows.append((list(g.coeffs), -g.constant))
+    for i in range(arity):
+        rows.append(([_F1 if j == i else _F0 for j in range(arity)], _F1))
+    return rows
+
+
+def interior_lp_fraction(arity: int, constraints: Sequence[AffineForm]):
+    """The kernel call ``(c, rows, n)`` of the uniform-slack program of
+    ``interior_point``; None when no LP is needed."""
+    n = arity
+    slack_forms = []
+    for g in constraints:
+        if g.is_constant:
+            if g.constant > 0:
+                return None
+            continue
+        slack_forms.append(AffineForm(g.constant, g.coeffs + (_F1,)))
+    for i in range(n):
+        e = [_F0] * (n + 1)
+        e[i] = -_F1
+        e[n] = _F1
+        slack_forms.append(AffineForm(_F0, tuple(e)))  # s <= x_i
+        e = [_F0] * (n + 1)
+        e[i] = _F1
+        e[n] = _F1
+        slack_forms.append(AffineForm(-_F1, tuple(e)))  # x_i + s <= 1
+    return [_F0] * n + [_F1], lp_rows_fraction(n + 1, slack_forms), n + 1
 
 
 # --- term -> lattice expression (the normal-form route) ---------------------

@@ -32,7 +32,7 @@ def test_ideal_for_order_two_terms():
     assert mv.eval_term(fwd.generator, [F(3, 4)]) == F(1, 2)
     rev = mv.ideal_for_order([2, 1], h, 1)
     # generator max(0, 1-2x): zero set is [1/2, 1]
-    zero_region = mv.Polytope(1, (mv.affine(1, [-2]),))  # x >= 1/2
+    zero_region = mv.cube(1).with_constraints((mv.affine(1, [-2]),))  # x >= 1/2
     zero = L(0, 0)
     assert mv.function_leq(rev.generator, zero, 1, zero_region)
     assert not mv.function_leq(rev.generator, zero, 1)
@@ -71,12 +71,6 @@ def test_membership_cap():
         mv.membership_bound(mv.oplus(X, X), ideal, cap=1)
     with pytest.raises(mv.DomainError):
         mv.membership_bound(X, ideal, cap=0)
-
-
-def test_membership_probe_points_only_speed_things_up():
-    ideal = mv.PrincipalIdeal(X, 1)
-    probes = [(F(1, 2),), (F(1),)]
-    assert mv.membership_bound(mv.oplus(X, X), ideal, probe_points=probes) == 2
 
 
 def test_intersect_principal():

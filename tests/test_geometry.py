@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 import mvsynth as mv
+from mvsynth import geometry
 from conftest import brute_force_lp, grid_points, random_polytope
+from oracles import (
+    interior_lp_fraction,
+    lp_rows_fraction,
+    settle_forms,
+    simplex_max_fraction,
+)
 
 F = Fraction
 
@@ -52,7 +59,7 @@ def test_lp_cube_vertex():
 
 def test_lp_frozen_example():
     # maximize 2x - 1 subject to 3x - 1 <= 0: optimum -1/3 at x = 1/3.
-    poly = mv.Polytope(1, (mv.affine(-1, [3]),))
+    poly = mv.cube(1).with_constraints((mv.affine(-1, [3]),))
     objective = mv.affine(-1, [2])
     assert brute_force_lp(objective, poly) == F(-1, 3)
     res = mv.lp_optimize(objective, poly)
@@ -61,20 +68,20 @@ def test_lp_frozen_example():
 
 
 def test_lp_infeasible():
-    poly = mv.Polytope(1, (mv.affine(1, [1]),))  # x <= -1
+    poly = mv.cube(1).with_constraints((mv.affine(1, [1]),))  # x <= -1
     assert mv.lp_optimize(mv.affine(0, [1]), poly) is None
     assert not mv.is_feasible(poly)
 
 
 def test_lp_constant_constraints():
-    ok = mv.Polytope(1, (mv.affine(-1, [0]),))   # -1 <= 0: vacuous
+    ok = mv.cube(1).with_constraints((mv.affine(-1, [0]),))   # -1 <= 0: vacuous
     assert mv.lp_optimize(mv.affine(0, [1]), ok).optimum == 1
-    bad = mv.Polytope(1, (mv.affine(1, [0]),))   # 1 <= 0: impossible
+    bad = mv.cube(1).with_constraints((mv.affine(1, [0]),))   # 1 <= 0: impossible
     assert mv.lp_optimize(mv.affine(0, [1]), bad) is None
 
 
 def test_lp_minimization():
-    poly = mv.Polytope(2, (mv.affine(-1, [1, 1]).negated(),))  # x + y >= 1
+    poly = mv.cube(2).with_constraints((mv.affine(-1, [1, 1]).negated(),))  # x + y >= 1
     res = mv.lp_optimize(mv.affine(0, [1, 1]), poly, "min")
     assert res.optimum == 1
 
@@ -108,16 +115,16 @@ def test_interior_point_cube():
 
 
 def test_interior_point_strict():
-    poly = mv.Polytope(2, (mv.affine(0, [1, -1]),))  # x1 <= x2
+    poly = mv.cube(2).with_constraints((mv.affine(0, [1, -1]),))  # x1 <= x2
     pt = mv.interior_point(poly)
     assert pt[0] < pt[1]
     assert 0 < pt[0] < 1 and 0 < pt[1] < 1
 
 
 def test_interior_point_empty():
-    poly = mv.Polytope(1, (mv.affine(0, [1]), mv.affine(0, [-1])))  # x = 0
+    poly = mv.cube(1).with_constraints((mv.affine(0, [1]), mv.affine(0, [-1])))  # x = 0
     assert mv.interior_point(poly) is None
-    assert mv.interior_point(mv.Polytope(1, (mv.affine(1, [1]),))) is None
+    assert mv.interior_point(mv.cube(1).with_constraints((mv.affine(1, [1]),))) is None
 
 
 def test_enumerate_cells_single_form():
@@ -141,7 +148,7 @@ def test_enumerate_cells_two_breakpoints():
                 g if s == "<=" else g.negated()
                 for g, s in zip(forms, (s1, s2))
             )
-            if mv.interior_point(mv.Polytope(1, constrs)) is not None:
+            if mv.interior_point(mv.cube(1).with_constraints(constrs)) is not None:
                 expected.append((s1, s2))
     cells = mv.enumerate_cells(forms, 1)
     assert [c.signs for c in cells] == expected
@@ -161,7 +168,7 @@ def test_enumerate_cells_rejects_bad_forms():
 
 
 def test_enumerate_cells_within_region():
-    region = mv.Polytope(1, (mv.affine(-1, [2]),))  # x <= 1/2
+    region = mv.cube(1).with_constraints((mv.affine(-1, [2]),))  # x <= 1/2
     cells = mv.enumerate_cells([mv.affine(-1, [3])], 1, within=region)
     assert [c.signs for c in cells] == [("<=",), (">=",)]
     for cell in cells:
@@ -197,6 +204,91 @@ def test_determinism():
     second = mv.enumerate_cells(forms, 2)
     assert first == second
     obj = mv.affine(0, [1, 1])
-    poly = mv.Polytope(2, (forms[0],))
+    poly = mv.cube(2).with_constraints((forms[0],))
     assert mv.lp_optimize(obj, poly) == mv.lp_optimize(obj, poly)
     assert mv.interior_point(poly) == mv.interior_point(poly)
+
+
+def _chain_step(rng: random.Random, arity: int, added: list) -> list:
+    """One to three new forms: fresh ones with rational offsets, parallel
+    copies (positively rescaled, shifted) and flips of earlier ones, and
+    now and then a vacuous or violated constant."""
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.random()
+        if added and kind < 0.3:
+            g = rng.choice(added)
+            scale = F(rng.randint(1, 4), rng.randint(1, 3))
+            g = mv.AffineForm(g.constant * scale, tuple(c * scale for c in g.coeffs))
+            out.append(g.shifted(F(rng.randint(-2, 2), rng.randint(1, 4))))
+        elif added and kind < 0.45:
+            out.append(rng.choice(added).negated())
+        elif kind < 0.5:
+            out.append(mv.const_form(arity, F(-rng.randint(0, 3), rng.randint(1, 3))))
+        elif kind < 0.53:
+            out.append(mv.const_form(arity, F(rng.randint(1, 3), rng.randint(1, 3))))
+        else:
+            coeffs = tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(arity))
+            out.append(mv.AffineForm(F(rng.randint(-4, 4), rng.randint(1, 4)), coeffs))
+    return out
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_halfspace_polytopes_match_form_reference(arity, monkeypatch):
+    # Polytopes grown by with_constraints hand the LP kernel the rows that
+    # the same chain of AffineForm constraints gave, in the same order,
+    # and get the same witnesses; contains agrees with the forms.
+    calls = []
+    kernel = geometry._simplex_max
+
+    def record(c, rows, n):
+        calls.append((list(c), [(tuple(a), b) for a, b in rows], n))
+        return kernel(c, rows, n)
+
+    def expected_call(call):
+        if call is None:
+            return []
+        c, rows, n = call
+        return [(c, [(tuple(a), b) for a, b in rows], n)]
+
+    monkeypatch.setattr(geometry, "_simplex_max", record)
+    rng = random.Random(8100 + arity)
+    points = grid_points(arity, 4 if arity < 3 else 2)
+    lps = empties = 0
+    for _ in range(30 if arity < 3 else 15):
+        poly, forms, added = mv.cube(arity), (), []
+        for _ in range(rng.randint(1, 5)):
+            extra = _chain_step(rng, arity, added)
+            added += extra
+            poly = poly.with_constraints(extra)
+            forms = settle_forms(forms, extra)
+            for point in points:
+                inside = all(g.evaluate(point) <= 0 for g in added)
+                assert poly.contains(point) == inside
+            objective = mv.AffineForm(
+                F(rng.randint(-2, 2)),
+                tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(arity)),
+            )
+            for sense in ("max", "min"):
+                geometry._LP_CACHE.clear()
+                calls.clear()
+                got = mv.lp_optimize(objective, poly, sense)
+                rows = lp_rows_fraction(arity, forms)
+                c = list(objective.coeffs)
+                if sense == "min":
+                    c = [-v for v in c]
+                call = None if rows is None else (c, rows, arity)
+                assert calls == expected_call(call)
+                x = None if call is None else simplex_max_fraction(*call)
+                want = None if x is None else mv.LpResult(objective.evaluate(x), x)
+                assert got == want
+                lps += rows is not None
+            geometry._INTERIOR_CACHE.clear()
+            calls.clear()
+            got = mv.interior_point(poly)
+            call = interior_lp_fraction(arity, forms)
+            assert calls == expected_call(call)
+            x = None if call is None else simplex_max_fraction(*call)
+            assert got == (x[:arity] if x is not None and x[arity] > 0 else None)
+            empties += got is None
+    assert lps > 50 and empties > 5

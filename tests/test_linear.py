@@ -53,11 +53,6 @@ def test_rejects_non_integer_forms():
         mv.linear_term(mv.AffineForm(F(0), (F(1, 3),)))
 
 
-def test_certification_can_be_disabled():
-    g = mv.affine(-2, [1, 2])
-    assert mv.linear_term(g, certify=False) is mv.linear_term(g, certify=True)
-
-
 def test_memoization_shares_structure():
     g = mv.affine(-1, [2, 1])
     assert mv.linear_term(g) is mv.linear_term(g)

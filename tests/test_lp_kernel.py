@@ -131,7 +131,7 @@ def polytope_around(rng: random.Random, arity: int, point):
         value = mv.AffineForm(F(0), coeffs).evaluate(point)
         slack = F(rng.choice([0, 0, 1, 2]), rng.randint(1, 3))
         forms.append(mv.AffineForm(-value - slack, coeffs))
-    return mv.Polytope(arity, tuple(forms))
+    return mv.cube(arity).with_constraints(forms)
 
 
 @pytest.mark.parametrize("arity", [3, 4, 5])
@@ -158,7 +158,9 @@ def test_lp_optimum_matches_sympy(arity):
             F(rng.randint(-3, 3)), tuple(F(rng.randint(-3, 3)) for _ in range(arity))
         )
         sense = rng.choice(["max", "min"])
-        constraints = [linear(g) <= 0 for g in poly.constraints]
+        constraints = [
+            linear(mv.affine(-beta, d)) <= 0 for d, beta in poly.constraints
+        ]
         constraints += [x >= 0 for x in xs] + [x <= 1 for x in xs]
         solve = lpmax if sense == "max" else lpmin
         value, _ = solve(linear(objective), constraints)

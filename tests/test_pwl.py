@@ -97,15 +97,15 @@ def test_decide_eq_certifies_max_identity():
 def test_decide_leq_on_subregion():
     # 1 - 2x <= x only holds right of x = 1/3
     lhs, rhs = L(1, -2), L(0, 1)
-    region = mv.Polytope(1, (mv.affine(1, [-3]),))  # x >= 1/3
+    region = mv.cube(1).with_constraints((mv.affine(1, [-3]),))  # x >= 1/3
     assert mv.function_leq(lhs, rhs, 1, region)
     assert not mv.function_leq(lhs, rhs, 1)
 
 
 def test_decide_leq_empty_and_degenerate_regions():
-    empty = mv.Polytope(1, (mv.affine(1, [1]),))  # x <= -1
+    empty = mv.cube(1).with_constraints((mv.affine(1, [1]),))  # x <= -1
     assert mv.function_leq(L(0, 1), L(0, 1), 1, empty)
-    line = mv.Polytope(1, (mv.affine(0, [1]), mv.affine(0, [-1])))  # x = 0
+    line = mv.cube(1).with_constraints((mv.affine(0, [1]), mv.affine(0, [-1])))  # x = 0
     with pytest.raises(mv.DomainError):
         mv.function_leq(L(0, 1), L(0, 1), 1, line)
 
@@ -217,16 +217,16 @@ def test_function_leq_mixed_operands():
 
 def test_function_leq_on_subregion():
     x = mv.var(1)
-    region = mv.Polytope(1, (mv.affine(1, [-2]),))  # x >= 1/2
+    region = mv.cube(1).with_constraints((mv.affine(1, [-2]),))  # x >= 1/2
     assert mv.function_leq(mv.neg(x), x, 1, region)
     assert not mv.function_leq(mv.neg(x), x, 1)
 
 
 def test_function_leq_empty_and_degenerate_regions():
     x = mv.var(1)
-    empty = mv.Polytope(1, (mv.affine(1, [1]),))  # x <= -1
+    empty = mv.cube(1).with_constraints((mv.affine(1, [1]),))  # x <= -1
     assert mv.function_leq(mv.ONE, x, 1, empty)
-    line = mv.Polytope(1, (mv.affine(0, [1]), mv.affine(0, [-1])))  # x = 0
+    line = mv.cube(1).with_constraints((mv.affine(0, [1]), mv.affine(0, [-1])))  # x = 0
     with pytest.raises(mv.DomainError):
         mv.function_leq(x, x, 1, line)
 
