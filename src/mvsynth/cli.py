@@ -11,7 +11,7 @@ Exit codes: 0 success (check: functions equal), 1 check found a
 difference, 2 malformed input (including a file that is not UTF-8 text,
 a description nested too deeply to parse, --cap below 1, or a --output
 path that cannot be written), 3 invalid description / bad evaluation
-domain, 4 membership-search cap exceeded, 5 internal error (a bug, such
+domain, 4 least membership multiplier exceeds --cap, 5 internal error (a bug, such
 as a failed final certificate; one ``internal error:`` line on stderr,
 never a traceback).  Results go to stdout, diagnostics to stderr; all
 output is deterministic.
@@ -257,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=DEFAULT_CAP,
-        help=f"membership search cap, at least 1 (default {DEFAULT_CAP})",
+        help=f"fail when the least gluing multiplier exceeds N, at least 1 "
+        f"(default {DEFAULT_CAP})",
     )
     p_synth.set_defaults(run=_run_synth)
 

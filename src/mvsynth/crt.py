@@ -13,7 +13,8 @@ the same function:
        (a1 - a2 - c1) (+) (a2 - a1 - d2) (+) (a1 /\\ a2)
 
    (truncated operations) where c1 and d2 are iterates of the ideal
-   generators found by a constructive membership search.
+   generators by the least multipliers that `membership_bound` finds in
+   one walk over the cells.
 3. The result is certified function-equal to the input before being
    returned; certification failure is a bug, never a silent wrong answer.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -49,6 +51,8 @@ from .pwl import (
     Leaf,
     MinOf,
     PwlExpr,
+    _cells,
+    _excess,
     _resolve_at,
     eval_pwl,
     function_eq,
@@ -59,7 +63,6 @@ from .pwl import (
 from .terms import (
     Term,
     ZERO,
-    eval_term,
     iterate_oplus,
     ominus,
     oplus,
@@ -156,29 +159,29 @@ def ideal_for_order(
 def membership_bound(
     element: Term, ideal: PrincipalIdeal, cap: int = DEFAULT_CAP
 ) -> int:
-    """Smallest tested multiplier m (doubling 1, 2, 4, ...) with
-    element <= m * generator everywhere on the cube.
+    """Least m >= 1 with element <= m * generator everywhere on the cube.
 
-    Raises `NotMemberError` as soon as some failure witness lies in the
-    generator's zero set while the element is positive there (no m can
-    ever work), and `CapExceededError` when the cap is passed without
-    resolution.
+    Dinkelbach's iteration on integers, in one walk over the cells where
+    both are affine: while element - m * generator is positive at a cell
+    vertex x, m rises to the ceiling of element(x) / generator(x), a
+    lower bound on every valid m.  Raises `NotMemberError` at a vertex
+    where the generator is 0 and the element positive (no m can ever
+    work), and `CapExceededError` as soon as m exceeds the cap.
     """
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise DomainError(f"cap must be an integer >= 1, got {cap!r}")
-    gen = ideal.generator
     m = 1
-    while m <= cap:
-        verdict = function_leq(element, iterate_oplus(m, gen), ideal.arity)
-        if verdict:
-            return m
-        witness = verdict.witness
-        if eval_term(gen, witness) == 0 and eval_term(element, witness) > 0:
-            raise NotMemberError(
-                "element is positive on the generator's zero set", witness
-            )
-        m *= 2
-    raise CapExceededError(cap)
+    for piece, fe, fg, den in _cells(element, ideal.generator, ideal.arity, None):
+        while (x := _excess(fe, tuple(m * v for v in fg), piece, den)) is not None:
+            # den times the values at x; den > 0 cancels in the ratio.
+            e = fe[0] + sum(map(mul, fe[1:], x))
+            g = fg[0] + sum(map(mul, fg[1:], x))
+            if g == 0:
+                raise NotMemberError("element is positive on the generator's zero set", x)
+            m = -(-e // g)
+            if m > cap:
+                raise CapExceededError(cap)
+    return m
 
 
 def intersect_principal(a: PrincipalIdeal, b: PrincipalIdeal) -> PrincipalIdeal:

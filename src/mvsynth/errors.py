@@ -53,10 +53,10 @@ class NotCongruentError(MvSynthError):
 
 
 class CapExceededError(MvSynthError):
-    """Membership search passed its iteration cap without resolving."""
+    """The least membership multiplier exceeds the cap."""
 
     def __init__(self, cap: int):
-        super().__init__(f"membership search exceeded cap {cap}")
+        super().__init__(f"least membership multiplier exceeds cap {cap}")
         self.cap = cap
 
 

@@ -1,8 +1,9 @@
 """Terms for truncated integer affine forms.
 
 `linear_term(g)` builds a term whose function is the clamp median(0, g, 1)
-of an integer-coefficient affine form.  The construction recurses on the
-total coefficient mass: peeling one occurrence of a variable x off g uses
+of an integer-coefficient affine form.  The construction descends the
+total coefficient mass on an explicit stack (the mass may exceed Python's
+recursion limit): peeling one occurrence of a variable x off g uses
 
     clamp(g + x)  =  clamp(g)  oplus  (x otimes clamp(g + 1))
 
@@ -44,33 +45,35 @@ def linear_term(form: AffineForm) -> Term:
 
 
 def _build(c0: int, coeffs: tuple[int, ...]) -> Term:
-    key = (c0, coeffs)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-
-    lo = c0 + sum(c for c in coeffs if c < 0)
-    hi = c0 + sum(c for c in coeffs if c > 0)
-    if hi <= 0:
-        term = ZERO
-    elif lo >= 1:
-        term = ONE
-    elif c0 == 0 and sum(map(abs, coeffs)) == 1 and 1 in coeffs:
-        term = var(coeffs.index(1) + 1)
-    elif c0 == 1 and sum(map(abs, coeffs)) == 1 and -1 in coeffs:
-        term = neg(var(coeffs.index(-1) + 1))
-    else:
-        i = next(k for k, c in enumerate(coeffs) if c)
-        if coeffs[i] > 0:
-            rest = coeffs[:i] + (coeffs[i] - 1,) + coeffs[i + 1:]
-            term = oplus(
-                _build(c0, rest),
-                otimes(var(i + 1), _build(c0 + 1, rest)),
-            )
+    root = (c0, coeffs)
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        if key in _MEMO:
+            stack.pop()
+            continue
+        c0, coeffs = key
+        lo = c0 + sum(c for c in coeffs if c < 0)
+        hi = c0 + sum(c for c in coeffs if c > 0)
+        if hi <= 0:
+            term = ZERO
+        elif lo >= 1:
+            term = ONE
+        elif c0 == 0 and sum(map(abs, coeffs)) == 1 and 1 in coeffs:
+            term = var(coeffs.index(1) + 1)
+        elif c0 == 1 and sum(map(abs, coeffs)) == 1 and -1 in coeffs:
+            term = neg(var(coeffs.index(-1) + 1))
         else:
-            rest = coeffs[:i] + (coeffs[i] + 1,) + coeffs[i + 1:]
-            term = oplus(
-                _build(c0 - 1, rest),
-                otimes(neg(var(i + 1)), _build(c0, rest)),
-            )
-    return _MEMO.setdefault(key, term)
+            i = next(k for k, c in enumerate(coeffs) if c)
+            step = 1 if coeffs[i] > 0 else -1
+            rest = coeffs[:i] + (coeffs[i] - step,) + coeffs[i + 1:]
+            base = c0 if step > 0 else c0 - 1
+            low, high = (base, rest), (base + 1, rest)
+            if low not in _MEMO or high not in _MEMO:
+                stack += (high, low)  # low is built first
+                continue
+            literal = var(i + 1) if step > 0 else neg(var(i + 1))
+            term = oplus(_MEMO[low], otimes(literal, _MEMO[high]))
+        _MEMO[key] = term
+        stack.pop()
+    return _MEMO[root]

@@ -7,7 +7,8 @@ provides exact evaluation, the clamp-to-[0,1] truncation of an affine
 form, and one decision procedure, `function_leq` / `function_eq`.  It
 compares term functions and lattice expressions, in any mix, by
 resolving the DAG cell by cell and splitting a cell only when some clamp
-or min/max choice actually changes sign on it.  This stays
+or min/max choice actually changes sign on it.  One cell walker,
+`_cells`, serves both and the membership search of ``crt``.  This stays
 polynomial-sized on the large shared terms produced by gluing, where an
 up-front lattice normal form would explode.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Sequence, Union
 
 from . import terms
@@ -130,25 +131,7 @@ def eval_pwl(expr: PwlExpr, point: Sequence) -> Fraction:
     pt = as_point(point)
     if pwl_arity(expr) != len(pt):
         raise DomainError("point arity does not match expression arity")
-    memo: dict[int, Fraction] = {}
-    stack = [expr]
-    while stack:
-        node = stack[-1]
-        if id(node) in memo:
-            stack.pop()
-            continue
-        if isinstance(node, Leaf):
-            memo[id(node)] = node.form.evaluate(pt)
-            stack.pop()
-            continue
-        missing = [c for c in node.children if id(c) not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        values = [memo[id(c)] for c in node.children]
-        memo[id(node)] = min(values) if isinstance(node, MinOf) else max(values)
-        stack.pop()
-    return memo[id(expr)]
+    return _resolve_at(expr, pt).evaluate(pt)
 
 
 def truncate_affine(form: AffineForm) -> PwlExpr:
@@ -197,16 +180,8 @@ def _resolve_at(expr: PwlExpr, point: tuple[Fraction, ...]) -> AffineForm:
         if missing:
             stack.extend(missing)
             continue
-        pairs = [memo[id(c)] for c in node.children]
-        pick = pairs[0]
-        for cand in pairs[1:]:
-            if isinstance(node, MinOf):
-                if cand[1] < pick[1]:
-                    pick = cand
-            else:
-                if cand[1] > pick[1]:
-                    pick = cand
-        memo[id(node)] = pick
+        pick = min if isinstance(node, MinOf) else max  # first extremum wins
+        memo[id(node)] = pick((memo[id(c)] for c in node.children), key=itemgetter(1))
         stack.pop()
     return memo[id(expr)][0]
 
@@ -436,32 +411,24 @@ def _check_operand(obj: FunctionLike, arity: int):
         raise TypeError(f"expected Term or PwlExpr, got {type(obj).__name__}")
 
 
-def function_leq(
-    lhs: FunctionLike,
-    rhs: FunctionLike,
-    arity: int,
-    region: Polytope | None = None,
-) -> Decision:
-    """Exact pointwise <= between term functions and/or lattice
-    expressions over the region (default: whole cube).
+def _cells(lhs: FunctionLike, rhs: FunctionLike, arity: int, region: Polytope | None):
+    """Walk the cells of the region on which both sides are affine.
 
-    Works directly on the shared DAG: each candidate cell is refined only
+    Yields ``(piece, fa, fb, den)``: a cell, and the int forms over
+    ``den`` that ``lhs`` and ``rhs`` equal on it.  A cell is split only
     when some clamp or lattice choice genuinely changes sign on it, so
     the cost tracks the functions' true piecewise structure rather than
-    their syntax size.  Affine forms are int tuples (see above), so no
-    rational arithmetic runs outside the LPs; the tests check that every
-    verdict and witness is the one the same procedure over ``Fraction``
-    gives.
+    their syntax size.  Cells come depth first; a consumer may stop early.
     """
     _check_operand(lhs, arity)
     _check_operand(rhs, arity)
     region = _check_region(region, arity)
     if interior_point(region) is None:
         if lp_optimize(const_form(arity, 0), region) is None:
-            return Decision(True)  # empty region: vacuously true
+            return  # empty region: no cells
         raise DomainError("region has points but empty interior; not supported")
     den = lcm(_denominator(lhs), _denominator(rhs))
-    # The final difference is over den; a term's forms are over 1.
+    # Both forms are yielded over den; a term's forms are over 1.
     lhs_up = den if isinstance(lhs, Term) else 1
     rhs_up = den if isinstance(rhs, Term) else 1
     todo: list[tuple[Polytope, object, dict, dict]] = [(region, None, {}, {})]
@@ -490,35 +457,51 @@ def function_leq(
             ge_signs[canon] = -1 if flipped else 1
             form = _affine(canon)
             le, ge = (form.negated(), form) if flipped else (form, form.negated())
-            todo.append(
-                (
-                    piece.with_constraints((ge,)),
-                    point if value > 0 else None,
-                    ge_signs,
-                    dict(local),
-                )
-            )
-            todo.append(
-                (
-                    piece.with_constraints((le,)),
-                    point if value < 0 else None,
-                    le_signs,
-                    local,
-                )
-            )
+            ge_point = point if value > 0 else None
+            le_point = point if value < 0 else None
+            todo.append((piece.with_constraints((ge,)), ge_point, ge_signs, dict(local)))
+            todo.append((piece.with_constraints((le,)), le_point, le_signs, local))
             continue
         if lhs_up > 1:
             fa = tuple(lhs_up * v for v in fa)
         if rhs_up > 1:
             fb = tuple(rhs_up * v for v in fb)
-        diff = tuple(map(sub, fa, fb))
-        if diff[0] + sum(v for v in diff[1:] if v > 0) <= 0:
-            continue
-        # Witness at the maximal violation: such points sit on cell
-        # vertices, which is what ideal-membership refutation needs.
-        res = lp_optimize(_affine(diff, den), piece)
-        if res is not None and res.optimum > 0:
-            return Decision(False, res.witness)
+        yield piece, fa, fb, den
+
+
+def _excess(fa: tuple, fb: tuple, piece: Polytope, den: int) -> tuple | None:
+    """A point of ``piece`` where ``fa - fb`` (int forms over ``den``) is
+    largest, if that maximum is positive; otherwise None.  The point is
+    an LP optimum on a cell vertex, which membership refutation needs."""
+    diff = tuple(map(sub, fa, fb))
+    if diff[0] + sum(v for v in diff[1:] if v > 0) <= 0:
+        return None
+    res = lp_optimize(_affine(diff, den), piece)
+    if res is not None and res.optimum > 0:
+        return res.witness
+    return None
+
+
+def function_leq(
+    lhs: FunctionLike,
+    rhs: FunctionLike,
+    arity: int,
+    region: Polytope | None = None,
+) -> Decision:
+    """Exact pointwise <= between term functions and/or lattice
+    expressions over the region (default: whole cube).
+
+    Works directly on the shared DAG, cell by cell (`_cells`); the
+    witness of a refutation is the point of largest violation on the
+    first failing cell.  Affine forms are int tuples (see above), so no
+    rational arithmetic runs outside the LPs; the tests check that every
+    verdict and witness is the one the same procedure over ``Fraction``
+    gives.
+    """
+    for piece, fa, fb, den in _cells(lhs, rhs, arity, region):
+        witness = _excess(fa, fb, piece, den)
+        if witness is not None:
+            return Decision(False, witness)
     return Decision(True)
 
 
@@ -528,7 +511,12 @@ def function_eq(
     arity: int,
     region: Polytope | None = None,
 ) -> Decision:
-    forward = function_leq(lhs, rhs, arity, region)
-    if not forward:
-        return forward
-    return function_leq(rhs, lhs, arity, region)
+    """Exact function equality over the region: one walk over the cells,
+    checking both directions on each (``lhs > rhs`` first)."""
+    for piece, fa, fb, den in _cells(lhs, rhs, arity, region):
+        witness = _excess(fa, fb, piece, den)
+        if witness is None:
+            witness = _excess(fb, fa, piece, den)
+        if witness is not None:
+            return Decision(False, witness)
+    return Decision(True)

@@ -21,6 +21,13 @@ library moved to integer arithmetic: every affine form is an
 `AffineForm` over ``Fraction`` and every value a ``Fraction``.  They make
 the same sign tests in the same order, so the library must return the
 identical `Decision` (verdict and witness) and the identical value.
+``function_eq_fraction`` walks the cells once and checks both directions
+on each, as ``mvsynth.pwl.function_eq`` does.
+
+``membership_bound_doubling`` is ``mvsynth.crt.membership_bound`` as it
+was before it found the least multiplier in one walk: it tries m = 1, 2,
+4, ... with a fresh ``function_leq`` each, so its m is at least the least
+one and below twice it.
 
 ``settle_forms``, ``lp_rows_fraction`` and ``interior_lp_fraction`` are
 how ``mvsynth.geometry`` kept a polytope as `AffineForm` constraints
@@ -38,7 +45,8 @@ from math import gcd, lcm
 from typing import Sequence
 
 from mvsynth import terms
-from mvsynth.errors import DomainError
+from mvsynth.crt import DEFAULT_CAP, PrincipalIdeal
+from mvsynth.errors import CapExceededError, DomainError, NotMemberError
 from mvsynth.geometry import (
     AffineForm,
     Polytope,
@@ -60,12 +68,13 @@ from mvsynth.pwl import (
     _check_region,
     _expr_children,
     _resolve_at,
+    function_leq,
     max_of,
     min_of,
     pwl_arity,
     pwl_leaves,
 )
-from mvsynth.terms import Rational, Term
+from mvsynth.terms import Rational, Term, eval_term, iterate_oplus
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -629,14 +638,14 @@ def _affinize(root, arity: int, ctx: _CellCtx, local: dict[int, AffineForm]):
     return lookup(root)[0]
 
 
-def function_leq_fraction(
+def _cells_fraction(
     lhs: FunctionLike,
     rhs: FunctionLike,
     arity: int,
-    region: Polytope | None = None,
-) -> Decision:
-    """Exact pointwise <= between term functions and/or lattice
-    expressions over the region (default: whole cube).
+    region: Polytope | None,
+):
+    """The cells of the region on which both sides are affine, with the
+    forms they equal there: ``(piece, fa, fb)``.
 
     Works directly on the shared DAG: each candidate cell is refined only
     when some clamp or lattice choice genuinely changes sign on it, so
@@ -648,7 +657,7 @@ def function_leq_fraction(
     region = _check_region(region, arity)
     if interior_point(region) is None:
         if lp_optimize(const_form(arity, 0), region) is None:
-            return Decision(True)  # empty region: vacuously true
+            return  # empty region: no cells
         raise DomainError("region has points but empty interior; not supported")
     todo: list[tuple[Polytope, object, dict, dict]] = [(region, None, {}, {})]
     while todo:
@@ -692,14 +701,35 @@ def function_leq_fraction(
                 )
             )
             continue
-        diff = fa - fb
-        if diff.bounds()[1] <= 0:
-            continue
-        # Witness at the maximal violation: such points sit on cell
-        # vertices, which is what ideal-membership refutation needs.
-        res = lp_optimize(diff, piece)
-        if res is not None and res.optimum > 0:
-            return Decision(False, res.witness)
+        yield piece, fa, fb
+
+
+def _excess_fraction(fa: AffineForm, fb: AffineForm, piece: Polytope):
+    """The point of largest ``fa - fb`` on the cell when that maximum is
+    positive, else None.  Such points sit on cell vertices, which is
+    what ideal-membership refutation needs."""
+    diff = fa - fb
+    if diff.bounds()[1] <= 0:
+        return None
+    res = lp_optimize(diff, piece)
+    if res is not None and res.optimum > 0:
+        return res.witness
+    return None
+
+
+def function_leq_fraction(
+    lhs: FunctionLike,
+    rhs: FunctionLike,
+    arity: int,
+    region: Polytope | None = None,
+) -> Decision:
+    """Exact pointwise <= between term functions and/or lattice
+    expressions over the region (default: whole cube): the first cell
+    where ``lhs - rhs`` has a positive maximum refutes it."""
+    for piece, fa, fb in _cells_fraction(lhs, rhs, arity, region):
+        witness = _excess_fraction(fa, fb, piece)
+        if witness is not None:
+            return Decision(False, witness)
     return Decision(True)
 
 
@@ -709,10 +739,45 @@ def function_eq_fraction(
     arity: int,
     region: Polytope | None = None,
 ) -> Decision:
-    forward = function_leq_fraction(lhs, rhs, arity, region)
-    if not forward:
-        return forward
-    return function_leq_fraction(rhs, lhs, arity, region)
+    """Exact function equality: one walk over the cells, both directions
+    on each (``lhs > rhs`` first)."""
+    for piece, fa, fb in _cells_fraction(lhs, rhs, arity, region):
+        witness = _excess_fraction(fa, fb, piece)
+        if witness is None:
+            witness = _excess_fraction(fb, fa, piece)
+        if witness is not None:
+            return Decision(False, witness)
+    return Decision(True)
+
+
+# --- membership by doubling ------------------------------------------------------
+
+def membership_bound_doubling(
+    element: Term, ideal: PrincipalIdeal, cap: int = DEFAULT_CAP
+) -> int:
+    """Smallest tested multiplier m (doubling 1, 2, 4, ...) with
+    element <= m * generator everywhere on the cube.
+
+    Raises `NotMemberError` as soon as some failure witness lies in the
+    generator's zero set while the element is positive there (no m can
+    ever work), and `CapExceededError` when the cap is passed without
+    resolution.
+    """
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise DomainError(f"cap must be an integer >= 1, got {cap!r}")
+    gen = ideal.generator
+    m = 1
+    while m <= cap:
+        verdict = function_leq(element, iterate_oplus(m, gen), ideal.arity)
+        if verdict:
+            return m
+        witness = verdict.witness
+        if eval_term(gen, witness) == 0 and eval_term(element, witness) > 0:
+            raise NotMemberError(
+                "element is positive on the generator's zero set", witness
+            )
+        m *= 2
+    raise CapExceededError(cap)
 
 
 # --- term evaluation over Fraction ---------------------------------------------

@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 import mvsynth as mv
-from conftest import curated_corpus, grid_points
+from conftest import (
+    build_corpus,
+    curated_corpus,
+    grid_points,
+    membership_heavy_description,
+)
+from oracles import membership_bound_doubling
 
 F = Fraction
 X = mv.var(1)
@@ -71,6 +77,59 @@ def test_membership_cap():
         mv.membership_bound(mv.oplus(X, X), ideal, cap=1)
     with pytest.raises(mv.DomainError):
         mv.membership_bound(X, ideal, cap=0)
+
+
+@pytest.mark.parametrize("k", [3, 5, 6, 9])
+def test_membership_bound_is_least(k):
+    # min(1, kx) <= min(1, m*x) first holds at m = k; doubling overshoots
+    element = mv.iterate_oplus(k, X)
+    ideal = mv.PrincipalIdeal(X, 1)
+    assert mv.membership_bound(element, ideal) == k
+    assert not mv.function_leq(element, mv.iterate_oplus(k - 1, X), 1)
+
+
+def test_membership_cap_bounds_the_least_multiplier():
+    ideal = mv.PrincipalIdeal(X, 1)
+    assert mv.membership_bound(mv.iterate_oplus(3, X), ideal, cap=3) == 3
+    with pytest.raises(mv.CapExceededError):
+        mv.membership_bound(mv.iterate_oplus(3, X), ideal, cap=2)
+
+
+@pytest.fixture(scope="module")
+def corpus_memberships():
+    """(element, joined ideal, multiplier) of every combine when the
+    acceptance corpus is synthesized."""
+    entries = build_corpus() + [("membership-heavy", membership_heavy_description())]
+    out = []
+    for _, description in entries:
+        trace = mv.SynthesisTrace()
+        mv.synthesize_crt(description, trace=trace)
+        for r in trace.combines:
+            join = mv.PrincipalIdeal(
+                mv.oplus(r.left_ideal.generator, r.right_ideal.generator),
+                r.left_ideal.arity,
+            )
+            out.append((mv.ominus(r.left, r.right), join, r.bound_left))
+            out.append((mv.ominus(r.right, r.left), join, r.bound_right))
+    assert max(m for _, _, m in out) > 1
+    return out
+
+
+def test_corpus_multipliers_are_least(corpus_memberships):
+    for element, ideal, m in corpus_memberships:
+        gen, arity = ideal.generator, ideal.arity
+        assert mv.function_leq(element, mv.iterate_oplus(m, gen), arity)
+        if m > 1:
+            assert not mv.function_leq(element, mv.iterate_oplus(m - 1, gen), arity)
+
+
+def test_least_multiplier_against_doubling_oracle(corpus_memberships):
+    cases = [(e, ideal) for e, ideal, _ in corpus_memberships]
+    cases += [(mv.iterate_oplus(k, X), mv.PrincipalIdeal(X, 1)) for k in range(1, 10)]
+    for element, ideal in cases:
+        exact = mv.membership_bound(element, ideal)
+        doubling = membership_bound_doubling(element, ideal)
+        assert exact <= doubling < 2 * exact
 
 
 def test_intersect_principal():

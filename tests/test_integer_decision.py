@@ -41,10 +41,25 @@ def rational_pwl(rng: random.Random, arity: int, depth: int) -> mv.PwlExpr:
     return mv.min_of(kids) if rng.random() < 0.5 else mv.max_of(kids)
 
 
+def value(obj, point):
+    if isinstance(obj, mv.Term):
+        return mv.eval_term(obj, point)
+    return mv.eval_pwl(obj, point)
+
+
 def assert_same_decisions(lhs, rhs, arity):
     for a, b in ((lhs, rhs), (rhs, lhs)):
-        assert mv.function_leq(a, b, arity) == function_leq_fraction(a, b, arity)
-    assert mv.function_eq(lhs, rhs, arity) == function_eq_fraction(lhs, rhs, arity)
+        verdict = mv.function_leq(a, b, arity)
+        assert verdict == function_leq_fraction(a, b, arity)
+        if not verdict:
+            assert value(a, verdict.witness) > value(b, verdict.witness)
+    equal = mv.function_eq(lhs, rhs, arity)
+    assert equal == function_eq_fraction(lhs, rhs, arity)
+    assert bool(equal) == bool(
+        function_leq_fraction(lhs, rhs, arity) and function_leq_fraction(rhs, lhs, arity)
+    )
+    if not equal:
+        assert value(lhs, equal.witness) != value(rhs, equal.witness)
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3])

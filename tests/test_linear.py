@@ -1,6 +1,7 @@
 """Terms for clamped integer affine forms."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -76,3 +77,23 @@ def test_exhaustive_certification_1d():
         term = mv.linear_term(g)
         verdict = mv.function_eq(term, mv.truncate_affine(g), 1)
         assert verdict, (c0, c1, verdict.witness)
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_large_coefficient_mass_needs_no_deep_recursion():
+    # The construction peels one unit of mass per step; mass 300 must
+    # not nest 300 Python calls.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        term = mv.linear_term(mv.affine(0, [300]))
+    finally:
+        sys.setrecursionlimit(limit)
+    for p in (F(0), F(1, 600), F(1, 300), F(1, 2)):
+        assert mv.eval_term(term, [p]) == min(F(1), 300 * p)
