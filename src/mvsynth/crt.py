@@ -7,8 +7,10 @@ the same function:
    forms, groups the cells by the induced ordering of the clamped
    constituents, verifies cell by cell which constituent the function
    equals on each group, and attaches the group's difference ideal.
-2. `chinese_glue` folds the per-group constituent terms together; each
-   step applies the explicit two-ideal gluing formula
+2. `chinese_glue` glues the per-group constituent terms along a
+   balanced binary tree (recursive halving, so ceil(log2 groups) levels
+   and a polynomial-size term); each combine applies the explicit
+   two-ideal gluing formula
 
        (a1 - a2 - c1) (+) (a2 - a1 - d2) (+) (a1 /\\ a2)
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from operator import mul
 from typing import Sequence
 
@@ -53,6 +56,7 @@ from .pwl import (
     PwlExpr,
     _cells,
     _excess,
+    _expr_children,
     _resolve_at,
     eval_pwl,
     function_eq,
@@ -63,6 +67,7 @@ from .pwl import (
 from .terms import (
     Term,
     ZERO,
+    _fold,
     iterate_oplus,
     ominus,
     oplus,
@@ -236,25 +241,39 @@ def chinese_glue(
     cap: int = DEFAULT_CAP,
     trace: SynthesisTrace | None = None,
 ) -> Term:
-    """Fold `combine_pair` over (term, ideal) pairs, intersecting the
-    accumulated ideal as it goes; the result is congruent to every input
+    """Glue (term, ideal) pairs into one term congruent to every input
     term modulo its ideal.
 
-    A congruence failure at fold position i (1-based) re-raises the
-    `NotCongruentError` with ``index`` set to i.
+    The pairs are halved recursively, the left block taking the extra
+    pair, and the two blocks' results are joined with `combine_pair` and
+    `intersect_principal`.  Any bracketing is sound (the ideal lattice of
+    an MV-algebra is distributive); halving keeps the combine tree
+    ceil(log2 n) deep, so the glued term is polynomial in n where a left
+    fold, copying the accumulated term three times per pair, is
+    exponential.  Up to three pairs glue exactly as a left fold.
+
+    A congruence failure re-raises the `NotCongruentError` with ``index``
+    set to the 1-based position of the first pair of the right block of
+    the failing combine.
     """
     items = list(pairs)
     if not items:
         raise DomainError("at least one (term, ideal) pair is required")
-    acc, acc_ideal = items[0]
-    for idx, (term, ideal) in enumerate(items[1:], start=2):
+
+    def glue(lo: int, hi: int) -> tuple[Term, PrincipalIdeal]:
+        if hi - lo == 1:
+            return items[lo]
+        mid = lo + (hi - lo + 1) // 2
+        left, left_ideal = glue(lo, mid)
+        right, right_ideal = glue(mid, hi)
         try:
-            acc = combine_pair(acc, term, acc_ideal, ideal, cap, trace)
+            term = combine_pair(left, right, left_ideal, right_ideal, cap, trace)
         except NotCongruentError as ex:
-            ex.index = idx
+            ex.index = mid + 1
             raise
-        acc_ideal = intersect_principal(acc_ideal, ideal)
-    return acc
+        return term, intersect_principal(left_ideal, right_ideal)
+
+    return glue(0, len(items))[0]
 
 
 def _check_range(description: PwlExpr, arity: int):
@@ -415,16 +434,12 @@ def synthesize_direct(description: PwlExpr) -> Term:
     arity = pwl_arity(description)
     _check_range(description, arity)
 
-    def build(expr: PwlExpr) -> Term:
+    def step(expr: PwlExpr, parts: list[Term]) -> Term:
         if isinstance(expr, Leaf):
             return linear_term(expr.form)
-        parts = [build(c) for c in expr.children]
-        out = parts[0]
-        for p in parts[1:]:
-            out = wedge(out, p) if isinstance(expr, MinOf) else vee(out, p)
-        return out
+        return reduce(wedge if isinstance(expr, MinOf) else vee, parts)
 
-    result = build(description)
+    result = _fold(description, step, _expr_children)
     verdict = function_eq(result, description, arity)
     if not verdict:
         raise CertificationError(

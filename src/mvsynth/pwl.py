@@ -97,19 +97,15 @@ def _expr_children(node: PwlExpr) -> tuple[PwlExpr, ...]:
 
 def pwl_arity(expr: PwlExpr) -> int:
     """Common arity of all leaves; raises if they disagree."""
-    arity = None
-    stack = [expr]
-    while stack:
-        node = stack.pop()
+
+    def step(node, arities):
         if isinstance(node, Leaf):
-            if arity is None:
-                arity = node.form.arity
-            elif node.form.arity != arity:
-                raise DomainError("leaves of mixed arity in one expression")
-        else:
-            stack.extend(node.children)
-    assert arity is not None
-    return arity
+            return node.form.arity
+        if len(set(arities)) > 1:
+            raise DomainError("leaves of mixed arity in one expression")
+        return arities[0]
+
+    return terms._fold(expr, step, _expr_children)
 
 
 def pwl_leaves(expr: PwlExpr) -> list[AffineForm]:
@@ -165,25 +161,14 @@ def _check_region(region: Polytope | None, arity: int) -> Polytope:
 def _resolve_at(expr: PwlExpr, point: tuple[Fraction, ...]) -> AffineForm:
     """The affine form the expression equals near ``point`` (first child
     attaining the min/max wins ties)."""
-    memo: dict[int, tuple[AffineForm, Fraction]] = {}
-    stack = [expr]
-    while stack:
-        node = stack[-1]
-        if id(node) in memo:
-            stack.pop()
-            continue
+
+    def step(node, resolved):
         if isinstance(node, Leaf):
-            memo[id(node)] = (node.form, node.form.evaluate(point))
-            stack.pop()
-            continue
-        missing = [c for c in node.children if id(c) not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
+            return node.form, node.form.evaluate(point)
         pick = min if isinstance(node, MinOf) else max  # first extremum wins
-        memo[id(node)] = pick((memo[id(c)] for c in node.children), key=itemgetter(1))
-        stack.pop()
-    return memo[id(expr)][0]
+        return pick(resolved, key=itemgetter(1))
+
+    return terms._fold(expr, step, _expr_children)[0]
 
 
 # --- adaptive comparison on term DAGs ----------------------------------------
@@ -385,16 +370,16 @@ def _affinize(root, arity: int, ctx: _CellCtx, local: dict, den: int) -> tuple[i
 def _denominator(obj) -> int:
     """Common denominator of the leaf coefficients of a lattice
     expression; 1 for a term."""
-    den = 1
-    stack = [] if isinstance(obj, Term) else [obj]
-    while stack:
-        node = stack.pop()
+    if isinstance(obj, Term):
+        return 1
+
+    def step(node, dens):
         if isinstance(node, Leaf):
             form = node.form
-            den = lcm(den, *(v.denominator for v in (form.constant, *form.coeffs)))
-        else:
-            stack.extend(node.children)
-    return den
+            return lcm(*(v.denominator for v in (form.constant, *form.coeffs)))
+        return lcm(*dens)
+
+    return terms._fold(obj, step, _expr_children)
 
 
 FunctionLike = Union[Term, PwlExpr]

@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Sequence, Union
 from .errors import DomainError, TermSyntaxError
 
 Rational = Union[int, Fraction]
-Point = "tuple[Fraction, ...]"
 
 
 class Term:
@@ -181,48 +180,23 @@ def eval_term(t: Term, point: Sequence[Rational]) -> Fraction:
     pt = as_point(point)
     n = len(pt)
     den = lcm(*(q.denominator for q in pt))
-    memo: dict[int, int] = {}
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        nid = id(node)
-        if nid in memo:
-            stack.pop()
-            continue
-        if isinstance(node, Zero):
-            memo[nid] = 0
-            stack.pop()
-        elif isinstance(node, One):
-            memo[nid] = den
-            stack.pop()
-        elif isinstance(node, Var):
+
+    def step(node, vals):
+        if isinstance(node, Oplus):
+            s = vals[0] + vals[1]
+            return s if s < den else den
+        if isinstance(node, Neg):
+            return den - vals[0]
+        if isinstance(node, Var):
             if node.index > n:
                 raise DomainError(
                     f"term uses (var {node.index}) but the point has {n} coordinates"
                 )
             q = pt[node.index - 1]
-            memo[nid] = q.numerator * (den // q.denominator)
-            stack.pop()
-        elif isinstance(node, Neg):
-            cv = memo.get(id(node.child))
-            if cv is None:
-                stack.append(node.child)
-            else:
-                memo[nid] = den - cv
-                stack.pop()
-        else:  # Oplus
-            lv = memo.get(id(node.left))
-            rv = memo.get(id(node.right))
-            if lv is not None and rv is not None:
-                s = lv + rv
-                memo[nid] = s if s < den else den
-                stack.pop()
-            else:
-                if rv is None:
-                    stack.append(node.right)
-                if lv is None:
-                    stack.append(node.left)
-    return Fraction(memo[id(t)], den)
+            return q.numerator * (den // q.denominator)
+        return den if isinstance(node, One) else 0
+
+    return Fraction(_fold(t, step), den)
 
 
 # --- text format ------------------------------------------------------------
@@ -386,20 +360,25 @@ def _children(node: Term) -> tuple[Term, ...]:
     return ()
 
 
-def _fold(t: Term, step):
-    _require_term(t)
+_POST = object()  # stack marker: the node below it is ready to fold
+
+
+def _fold(root, step, children=_children):
+    """Post-order reduction of a DAG: ``step(node, child values)`` runs
+    once per distinct node (by identity), leftmost child first, on an
+    explicit stack, so depth is not limited by the recursion limit.
+    ``children`` defaults to the term connectives; any other DAG (a
+    lattice expression) passes its own."""
+    if children is _children:
+        _require_term(root)
     memo: dict[int, object] = {}
-    stack = [t]
+    stack = [root]
     while stack:
-        node = stack[-1]
-        if id(node) in memo:
-            stack.pop()
-            continue
-        kids = _children(node)
-        missing = [k for k in kids if id(k) not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        memo[id(node)] = step(node, [memo[id(k)] for k in kids])
-        stack.pop()
-    return memo[id(t)]
+        node = stack.pop()
+        if node is _POST:
+            node = stack.pop()
+            memo[id(node)] = step(node, [memo[id(k)] for k in children(node)])
+        elif id(node) not in memo:
+            stack += (node, _POST)
+            stack += reversed(children(node))
+    return memo[id(root)]

@@ -179,7 +179,8 @@ def build_corpus(seed: int = 20240811, n_random: int = 25, max_groups: int = 8):
 
     Random instances whose region analysis produces more than
     ``max_groups`` ordering groups are skipped: the glued term's printed
-    size grows geometrically with the group count, and the corpus must
+    size grows with the group count (polynomially, through the balanced
+    combine tree, but with a large factor per level), and the corpus must
     stay at desk scale.  Selection is deterministic given the seed.
     """
     rng = random.Random(seed)

@@ -96,14 +96,22 @@ def test_membership_cap_bounds_the_least_multiplier():
 
 
 @pytest.fixture(scope="module")
-def corpus_memberships():
-    """(element, joined ideal, multiplier) of every combine when the
-    acceptance corpus is synthesized."""
+def corpus_traces():
+    """(term, trace) of every acceptance-corpus entry, synthesized."""
     entries = build_corpus() + [("membership-heavy", membership_heavy_description())]
     out = []
     for _, description in entries:
         trace = mv.SynthesisTrace()
-        mv.synthesize_crt(description, trace=trace)
+        out.append((mv.synthesize_crt(description, trace=trace), trace))
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus_memberships(corpus_traces):
+    """(element, joined ideal, multiplier) of every combine when the
+    acceptance corpus is synthesized."""
+    out = []
+    for _, trace in corpus_traces:
         for r in trace.combines:
             join = mv.PrincipalIdeal(
                 mv.oplus(r.left_ideal.generator, r.right_ideal.generator),
@@ -216,6 +224,43 @@ def test_chinese_glue_tags_failing_index():
     with pytest.raises(mv.NotCongruentError) as info:
         mv.chinese_glue(pairs)
     assert info.value.index == 3
+    # Halving glues ((1, 2), (3, 4)); the failing combine is (3, 4), whose
+    # right block starts at pair 4.
+    pairs = [(X, zero_ideal), (X, zero_ideal), (mv.neg(X), zero_ideal), (X, zero_ideal)]
+    with pytest.raises(mv.NotCongruentError) as info:
+        mv.chinese_glue(pairs)
+    assert info.value.index == 4
+
+
+def test_chinese_glue_halves(corpus_traces):
+    f = mv.max_of([L(-1, 2), L(1, -2), L(0, 1)])
+    (t1, i1), (t2, i2), (t3, i3) = [(g.term, g.ideal) for g in mv.analyze_regions(f)]
+    left_fold = mv.combine_pair(
+        mv.combine_pair(t1, t2, i1, i2), t3, mv.intersect_principal(i1, i2), i3
+    )
+    assert mv.chinese_glue([(t1, i1), (t2, i2), (t3, i3)]) is left_fold
+
+    groups = next(t.groups for _, t in corpus_traces if len(t.groups) == 4)
+    (t1, i1), (t2, i2), (t3, i3), (t4, i4) = [(g.term, g.ideal) for g in groups]
+    balanced = mv.combine_pair(
+        mv.combine_pair(t1, t2, i1, i2),
+        mv.combine_pair(t3, t4, i3, i4),
+        mv.intersect_principal(i1, i2),
+        mv.intersect_principal(i3, i4),
+    )
+    assert mv.chinese_glue([(g.term, g.ideal) for g in groups]) is balanced
+
+
+def test_corpus_combine_tree_is_balanced(corpus_traces):
+    for term, trace in corpus_traces:
+        n = len(trace.groups)
+        assert len(trace.combines) == n - 1
+        depth = {id(g.term): 0 for g in trace.groups}
+        for r in trace.combines:
+            assert id(r.left) in depth and id(r.right) in depth
+            depth[id(r.result)] = 1 + max(depth[id(r.left)], depth[id(r.right)])
+        # ceil(log2 n) levels
+        assert depth[id(term)] == (n - 1).bit_length()
 
 
 def test_chinese_glue_three_ideals_congruences():
@@ -311,6 +356,16 @@ def test_synthesize_direct_examples():
     term = mv.synthesize_direct(f)
     assert term is mv.wedge(mv.var(1), mv.var(2))
     assert mv.function_eq(term, f, 2)
+
+
+def test_synthesize_direct_deep_expression():
+    # 1,500 nested min/max nodes, far beyond the recursion limit.
+    expr = L(0, 1)
+    for i in range(1500):
+        expr = mv.max_of([expr, L(1, -1)]) if i % 2 else mv.min_of([expr, L(0, 1)])
+    term = mv.synthesize_direct(expr)
+    for p in grid_points(1, 8):
+        assert mv.eval_term(term, p) == mv.eval_pwl(expr, p)
 
 
 def test_synthesize_cross_oracle_min():
