@@ -15,8 +15,9 @@ the same function:
        (a1 - a2 - c1) (+) (a2 - a1 - d2) (+) (a1 /\\ a2)
 
    (truncated operations) where c1 and d2 are iterates of the ideal
-   generators by the least multipliers that `membership_bound` finds in
-   one walk over the cells.
+   generators by the least multipliers of a1 - a2 and a2 - a1 in the
+   joined ideal: both multipliers of a combine in one walk, over the
+   cells of the operand tuple (a1 - a2, a2 - a1, joined generator).
 3. The result is certified function-equal to the input before being
    returned; certification failure is a bug, never a silent wrong answer.
 
@@ -58,7 +59,6 @@ from .pwl import (
     _excess,
     _expr_children,
     _resolve_at,
-    eval_pwl,
     function_eq,
     function_leq,
     pwl_arity,
@@ -161,31 +161,69 @@ def ideal_for_order(
     return PrincipalIdeal(gen, arity)
 
 
+def _least_multipliers(
+    elements: Sequence[Term], ideal: PrincipalIdeal, cap: int
+) -> list[int]:
+    """Least m >= 1 with element <= m * generator everywhere on the cube,
+    for every element, from one walk over ``(e1, ..., ek, generator)``.
+
+    Dinkelbach's iteration on integers, per element on each cell where
+    all are affine: while e - m * generator is positive at a cell vertex
+    x, that element's m rises to the ceiling of e(x) / generator(x), a
+    lower bound on every valid m.  A vertex where the generator is 0 and
+    the element positive refutes membership (`NotMemberError`); an m
+    above the cap raises `CapExceededError`.  The first element's error
+    is raised at once; a later element's is remembered, that element is
+    no longer tracked, and the earliest remembered error is raised only
+    if the first element finishes clean, as separate calls in element
+    order would raise.
+    """
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise DomainError(f"cap must be an integer >= 1, got {cap!r}")
+    ms = [1] * len(elements)
+    failed: dict[int, Exception] = {}
+    operands = (*elements, ideal.generator)
+    for piece, forms, den in _cells(operands, ideal.arity, None):
+        fg = forms[-1]
+        for i, fe in enumerate(forms[:-1]):
+            if i in failed:
+                continue
+            m = ms[i]
+            try:
+                while (x := _excess(fe, tuple(m * v for v in fg), piece, den)) is not None:
+                    # den times the values at x; den > 0 cancels in the ratio.
+                    e = fe[0] + sum(map(mul, fe[1:], x))
+                    g = fg[0] + sum(map(mul, fg[1:], x))
+                    if g == 0:
+                        raise NotMemberError(
+                            "element is positive on the generator's zero set", x
+                        )
+                    m = -(-e // g)
+                    if m > cap:
+                        raise CapExceededError(cap)
+            except (NotMemberError, CapExceededError) as ex:
+                if i == 0:
+                    raise
+                failed[i] = ex
+            ms[i] = m
+    if failed:
+        raise failed[min(failed)]
+    return ms
+
+
 def membership_bound(
     element: Term, ideal: PrincipalIdeal, cap: int = DEFAULT_CAP
 ) -> int:
     """Least m >= 1 with element <= m * generator everywhere on the cube.
 
-    Dinkelbach's iteration on integers, in one walk over the cells where
-    both are affine: while element - m * generator is positive at a cell
-    vertex x, m rises to the ceiling of element(x) / generator(x), a
-    lower bound on every valid m.  Raises `NotMemberError` at a vertex
-    where the generator is 0 and the element positive (no m can ever
-    work), and `CapExceededError` as soon as m exceeds the cap.
+    The one-element case of the multiplier search that finds both
+    multipliers of a combine in one walk over the cells: Dinkelbach's
+    iteration on integers, over the cells where element and generator
+    are affine.  Raises `NotMemberError` at a vertex where the generator
+    is 0 and the element positive (no m can ever work), and
+    `CapExceededError` as soon as m exceeds the cap.
     """
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise DomainError(f"cap must be an integer >= 1, got {cap!r}")
-    m = 1
-    for piece, fe, fg, den in _cells(element, ideal.generator, ideal.arity, None):
-        while (x := _excess(fe, tuple(m * v for v in fg), piece, den)) is not None:
-            # den times the values at x; den > 0 cancels in the ratio.
-            e = fe[0] + sum(map(mul, fe[1:], x))
-            g = fg[0] + sum(map(mul, fg[1:], x))
-            if g == 0:
-                raise NotMemberError("element is positive on the generator's zero set", x)
-            m = -(-e // g)
-            if m > cap:
-                raise CapExceededError(cap)
+    (m,) = _least_multipliers((element,), ideal, cap)
     return m
 
 
@@ -210,14 +248,19 @@ def combine_pair(
 
     Requires both truncated differences of a1 and a2 to be members of
     the ideal generated by generator1 (+) generator2; otherwise raises
-    `NotCongruentError` with a witness point.
+    `NotCongruentError` with a witness point.  It finds both multipliers
+    of a combine in one walk, over the cells of the operand tuple
+    ``(a1 - a2, a2 - a1, generator1 (+) generator2)``: the second
+    difference splits no cell, since its only sign test, the sign of
+    a1 - a2, is settled by the first.  A failure of a1 - a2 wins over
+    one of a2 - a1, as with two separate `membership_bound` calls in
+    that order.
     """
     if ideal1.arity != ideal2.arity:
         raise DomainError("ideal arity mismatch")
     join = PrincipalIdeal(oplus(ideal1.generator, ideal2.generator), ideal1.arity)
     try:
-        m1 = membership_bound(ominus(a1, a2), join, cap)
-        m2 = membership_bound(ominus(a2, a1), join, cap)
+        m1, m2 = _least_multipliers((ominus(a1, a2), ominus(a2, a1)), join, cap)
     except NotMemberError as ex:
         raise NotCongruentError(
             "sides differ where the joined ideal's generator vanishes",
@@ -367,13 +410,14 @@ def analyze_regions(description: PwlExpr) -> list[RegionGroup]:
         ordering = tuple(
             sorted(range(1, k + 1), key=lambda j: (values[j - 1], j))
         )
-        grouped.setdefault(ordering, []).append(cell)
+        grouped.setdefault(ordering, []).append((cell, faff))
 
     constituent_terms = [linear_term(g) for g in constituents]
     groups: list[RegionGroup] = []
     for ordering, members in grouped.items():
-        base_point = members[0].point
-        value = eval_pwl(description, base_point)
+        base, base_faff = members[0]
+        base_point = base.point
+        value = base_faff.evaluate(base_point)
         candidates = [
             j
             for j in range(1, k + 1)
@@ -395,8 +439,8 @@ def analyze_regions(description: PwlExpr) -> list[RegionGroup]:
         groups.append(
             RegionGroup(
                 ordering,
-                tuple(cell.polytope for cell in members),
-                tuple(cell.point for cell in members),
+                tuple(cell.polytope for cell, _ in members),
+                tuple(cell.point for cell, _ in members),
                 selected,
                 ideal_for_order(ordering, constituent_terms, arity),
                 constituent_terms[selected - 1],

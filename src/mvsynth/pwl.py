@@ -8,7 +8,11 @@ form, and one decision procedure, `function_leq` / `function_eq`.  It
 compares term functions and lattice expressions, in any mix, by
 resolving the DAG cell by cell and splitting a cell only when some clamp
 or min/max choice actually changes sign on it.  One cell walker,
-`_cells`, serves both and the membership search of ``crt``.  This stays
+`_cells`, serves both and the membership search of ``crt``: it walks a
+tuple of operands, resolving them in tuple order on each cell, and
+yields each cell with one affine form per operand.  The decisions walk
+``(lhs, rhs)``; ``crt`` finds both multipliers of a combine in one walk
+over ``(a1 - a2, a2 - a1, generator)``.  This stays
 polynomial-sized on the large shared terms produced by gluing, where an
 up-front lattice normal form would explode.
 
@@ -367,55 +371,52 @@ def _affinize(root, arity: int, ctx: _CellCtx, local: dict, den: int) -> tuple[i
             parent[3] = False
 
 
-def _denominator(obj) -> int:
-    """Common denominator of the leaf coefficients of a lattice
-    expression; 1 for a term."""
+FunctionLike = Union[Term, PwlExpr]
+
+
+def _fold_operand(obj: FunctionLike, arity: int) -> int:
+    """Check an operand against the declared arity, in one walk, and
+    return the common denominator of its leaf coefficients (1 for a
+    term)."""
     if isinstance(obj, Term):
+        if terms.max_var_index(obj) > arity:
+            raise DomainError("term variable index exceeds declared arity")
         return 1
+    if not isinstance(obj, PwlExpr):
+        raise TypeError(f"expected Term or PwlExpr, got {type(obj).__name__}")
 
     def step(node, dens):
         if isinstance(node, Leaf):
             form = node.form
+            if form.arity != arity:
+                raise DomainError("expression arity does not match declared arity")
             return lcm(*(v.denominator for v in (form.constant, *form.coeffs)))
         return lcm(*dens)
 
     return terms._fold(obj, step, _expr_children)
 
 
-FunctionLike = Union[Term, PwlExpr]
+def _cells(operands: Sequence[FunctionLike], arity: int, region: Polytope | None):
+    """Walk the cells of the region on which every operand is affine.
 
-
-def _check_operand(obj: FunctionLike, arity: int):
-    if isinstance(obj, Term):
-        if terms.max_var_index(obj) > arity:
-            raise DomainError("term variable index exceeds declared arity")
-    elif isinstance(obj, PwlExpr):
-        if pwl_arity(obj) != arity:
-            raise DomainError("expression arity does not match declared arity")
-    else:
-        raise TypeError(f"expected Term or PwlExpr, got {type(obj).__name__}")
-
-
-def _cells(lhs: FunctionLike, rhs: FunctionLike, arity: int, region: Polytope | None):
-    """Walk the cells of the region on which both sides are affine.
-
-    Yields ``(piece, fa, fb, den)``: a cell, and the int forms over
-    ``den`` that ``lhs`` and ``rhs`` equal on it.  A cell is split only
+    Yields ``(piece, forms, den)``: a cell, and the int forms over
+    ``den`` that the operands equal on it, in operand order.  Operands
+    are resolved in tuple order on each cell, so the first one that
+    splits a cell decides how; an operand whose sign tests the earlier
+    ones have all settled never splits a cell.  A cell is split only
     when some clamp or lattice choice genuinely changes sign on it, so
     the cost tracks the functions' true piecewise structure rather than
     their syntax size.  Cells come depth first; a consumer may stop early.
     """
-    _check_operand(lhs, arity)
-    _check_operand(rhs, arity)
+    dens = [_fold_operand(obj, arity) for obj in operands]
     region = _check_region(region, arity)
     if interior_point(region) is None:
         if lp_optimize(const_form(arity, 0), region) is None:
             return  # empty region: no cells
         raise DomainError("region has points but empty interior; not supported")
-    den = lcm(_denominator(lhs), _denominator(rhs))
-    # Both forms are yielded over den; a term's forms are over 1.
-    lhs_up = den if isinstance(lhs, Term) else 1
-    rhs_up = den if isinstance(rhs, Term) else 1
+    den = lcm(*dens)
+    # Every form is yielded over den; a term's forms are over 1.
+    ups = [den if isinstance(obj, Term) else 1 for obj in operands]
     todo: list[tuple[Polytope, object, dict, dict]] = [(region, None, {}, {})]
     while todo:
         piece, point, signs, local = todo.pop()
@@ -425,8 +426,7 @@ def _cells(lhs: FunctionLike, rhs: FunctionLike, arity: int, region: Polytope | 
                 continue  # empty-interior pieces are covered by siblings
         ctx = _CellCtx(piece, point, signs)
         try:
-            fa = _affinize(lhs, arity, ctx, local, den)
-            fb = _affinize(rhs, arity, ctx, local, den)
+            forms = [_affinize(obj, arity, ctx, local, den) for obj in operands]
         except _Split as split:
             # Everything resolved so far holds on both halves (they are
             # subsets of this piece), so the children inherit the work;
@@ -447,11 +447,12 @@ def _cells(lhs: FunctionLike, rhs: FunctionLike, arity: int, region: Polytope | 
             todo.append((piece.with_constraints((ge,)), ge_point, ge_signs, dict(local)))
             todo.append((piece.with_constraints((le,)), le_point, le_signs, local))
             continue
-        if lhs_up > 1:
-            fa = tuple(lhs_up * v for v in fa)
-        if rhs_up > 1:
-            fb = tuple(rhs_up * v for v in fb)
-        yield piece, fa, fb, den
+        if den > 1:
+            forms = [
+                form if up == 1 else tuple(up * v for v in form)
+                for form, up in zip(forms, ups)
+            ]
+        yield piece, forms, den
 
 
 def _excess(fa: tuple, fb: tuple, piece: Polytope, den: int) -> tuple | None:
@@ -483,7 +484,7 @@ def function_leq(
     verdict and witness is the one the same procedure over ``Fraction``
     gives.
     """
-    for piece, fa, fb, den in _cells(lhs, rhs, arity, region):
+    for piece, (fa, fb), den in _cells((lhs, rhs), arity, region):
         witness = _excess(fa, fb, piece, den)
         if witness is not None:
             return Decision(False, witness)
@@ -498,7 +499,7 @@ def function_eq(
 ) -> Decision:
     """Exact function equality over the region: one walk over the cells,
     checking both directions on each (``lhs > rhs`` first)."""
-    for piece, fa, fb, den in _cells(lhs, rhs, arity, region):
+    for piece, (fa, fb), den in _cells((lhs, rhs), arity, region):
         witness = _excess(fa, fb, piece, den)
         if witness is None:
             witness = _excess(fb, fa, piece, den)

@@ -64,7 +64,6 @@ from mvsynth.pwl import (
     MaxOf,
     MinOf,
     PwlExpr,
-    _check_operand,
     _check_region,
     _expr_children,
     _resolve_at,
@@ -636,6 +635,17 @@ def _affinize(root, arity: int, ctx: _CellCtx, local: dict[int, AffineForm]):
             pure_flags[id(node)] = pure
         stack.pop()
     return lookup(root)[0]
+
+
+def _check_operand(obj: FunctionLike, arity: int):
+    if isinstance(obj, Term):
+        if terms.max_var_index(obj) > arity:
+            raise DomainError("term variable index exceeds declared arity")
+    elif isinstance(obj, PwlExpr):
+        if pwl_arity(obj) != arity:
+            raise DomainError("expression arity does not match declared arity")
+    else:
+        raise TypeError(f"expected Term or PwlExpr, got {type(obj).__name__}")
 
 
 def _cells_fraction(

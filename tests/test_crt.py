@@ -11,6 +11,7 @@ from conftest import (
     curated_corpus,
     grid_points,
     membership_heavy_description,
+    random_term,
 )
 from oracles import membership_bound_doubling
 
@@ -123,6 +124,13 @@ def corpus_memberships(corpus_traces):
     return out
 
 
+def test_corpus_combines_match_separate_membership_calls(corpus_memberships):
+    # Both multipliers of a combine come from one walk; each must be the
+    # one membership_bound finds alone.
+    for element, ideal, m in corpus_memberships:
+        assert mv.membership_bound(element, ideal) == m
+
+
 def test_corpus_multipliers_are_least(corpus_memberships):
     for element, ideal, m in corpus_memberships:
         gen, arity = ideal.generator, ideal.arity
@@ -203,6 +211,111 @@ def test_combine_pair_not_congruent():
         mv.combine_pair(X, mv.neg(X), zero_ideal, zero_ideal)
     w = info.value.witness
     assert mv.eval_term(mv.dist(X, mv.neg(X)), w) > 0
+
+
+@pytest.mark.parametrize("a1, a2", [(X, mv.neg(X)), (mv.neg(X), X)])
+def test_combine_pair_first_element_error_wins(a1, a2):
+    # Both differences are non-members of the zero ideal; the error is
+    # the one of a1 - a2, with the witness membership_bound gives it.
+    zero_ideal = mv.PrincipalIdeal(mv.ZERO, 1)
+    join = mv.PrincipalIdeal(mv.oplus(mv.ZERO, mv.ZERO), 1)
+    with pytest.raises(mv.NotMemberError) as alone:
+        mv.membership_bound(mv.ominus(a1, a2), join)
+    with pytest.raises(mv.NotCongruentError) as info:
+        mv.combine_pair(a1, a2, zero_ideal, zero_ideal)
+    assert info.value.witness == alone.value.witness
+    assert info.value.witness == ((F(1),) if a1 is X else (F(0),))
+
+
+def test_combine_pair_second_cap_yields_to_first_non_member():
+    # a1 - a2 = max(0, 1 - 2x - min(1, 3x, 3 - 3x)) is positive at x = 0,
+    # where the joined generator x vanishes; a2 - a1 needs m = 2 > cap.
+    # The walk passes the cap for a2 - a1 on a cell before the one that
+    # refutes a1 - a2, and the refutation still wins.
+    a1 = mv.neg(mv.oplus(X, X))
+    a2 = mv.wedge(mv.iterate_oplus(3, X), mv.iterate_oplus(3, mv.neg(X)))
+    ideal1, ideal2 = mv.PrincipalIdeal(X, 1), mv.PrincipalIdeal(mv.ZERO, 1)
+    join = mv.PrincipalIdeal(mv.oplus(X, mv.ZERO), 1)
+    assert mv.membership_bound(mv.ominus(a2, a1), join) == 2
+    with pytest.raises(mv.CapExceededError):
+        mv.membership_bound(mv.ominus(a2, a1), join, cap=1)
+    with pytest.raises(mv.NotMemberError):
+        mv.membership_bound(mv.ominus(a1, a2), join, cap=1)
+    with pytest.raises(mv.NotCongruentError):
+        mv.combine_pair(a1, a2, ideal1, ideal2, cap=1)
+
+
+def test_combine_pair_second_element_non_member():
+    # a1 - a2 = 0 is a member; a2 - a1 = 1 - x is positive at x = 0,
+    # where the joined generator x (+) x vanishes.
+    a1, a2 = mv.ZERO, mv.neg(X)
+    ideal = mv.PrincipalIdeal(X, 1)
+    with pytest.raises(mv.NotCongruentError) as info:
+        mv.combine_pair(a1, a2, ideal, ideal)
+    w = info.value.witness
+    assert mv.eval_term(mv.oplus(X, X), w) == 0
+    assert mv.eval_term(mv.ominus(a2, a1), w) > 0
+
+
+def _separate_outcome(a1, a2, join, cap):
+    """What two membership_bound calls in element order give: the pair
+    of multipliers, or the first error with its element."""
+    ms = []
+    for element in (mv.ominus(a1, a2), mv.ominus(a2, a1)):
+        try:
+            ms.append(mv.membership_bound(element, join, cap))
+        except (mv.NotMemberError, mv.CapExceededError) as ex:
+            return ex, element
+    return tuple(ms), None
+
+
+def test_combine_pair_matches_separate_calls_on_random_pairs():
+    rng = random.Random(9)
+    seen = set()
+    for _ in range(200):
+        arity = rng.randint(1, 3)
+        a1 = random_term(rng, arity, rng.randint(1, 4))
+        u = random_term(rng, arity, rng.randint(0, 2))
+        kind = rng.randrange(3)
+        if kind == 0:  # unrelated terms and generator
+            a2 = random_term(rng, arity, rng.randint(1, 4))
+            gen = random_term(rng, arity, rng.randint(0, 3))
+        elif kind == 1:  # a generator below the distance
+            a2 = random_term(rng, arity, rng.randint(1, 4))
+            gen = mv.wedge(mv.dist(a1, a2), u)
+        else:  # a difference of up to k times the generator
+            a2 = mv.oplus(a1, mv.iterate_oplus(rng.randint(2, 5), u))
+            gen = u
+        if rng.random() < 0.5:
+            a1, a2 = a2, a1
+        other = random_term(rng, arity, rng.randint(0, 2)) if rng.random() < 0.5 else mv.ZERO
+        ideal1, ideal2 = mv.PrincipalIdeal(gen, arity), mv.PrincipalIdeal(other, arity)
+        join = mv.PrincipalIdeal(mv.oplus(gen, other), arity)
+        cap = rng.choice([1, 2, 3, mv.DEFAULT_CAP])
+        expected, element = _separate_outcome(a1, a2, join, cap)
+        trace = mv.SynthesisTrace()
+        if element is None:
+            mv.combine_pair(a1, a2, ideal1, ideal2, cap, trace)
+            record = trace.combines[0]
+            assert (record.bound_left, record.bound_right) == expected
+            seen.add("member" if max(expected) == 1 else "multiple")
+        elif isinstance(expected, mv.CapExceededError):
+            with pytest.raises(mv.CapExceededError):
+                mv.combine_pair(a1, a2, ideal1, ideal2, cap, trace)
+            seen.add("cap")
+        else:
+            with pytest.raises(mv.NotCongruentError) as info:
+                mv.combine_pair(a1, a2, ideal1, ideal2, cap, trace)
+            w = info.value.witness
+            if element is mv.ominus(a1, a2):
+                # the first element's cells are its cells alone
+                assert w == expected.witness
+                seen.add("first refuted")
+            else:
+                seen.add("second refuted")
+            assert mv.eval_term(join.generator, w) == 0
+            assert mv.eval_term(element, w) > 0
+    assert seen == {"member", "multiple", "cap", "first refuted", "second refuted"}
 
 
 def test_chinese_glue_degenerate_cases():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import mvsynth as mv
 from conftest import grid_points, random_point, random_pwl, random_pwl_pair, random_term
-from oracles import decide_leq, function_leq_fraction, term_to_pwl
+from oracles import decide_leq, function_eq_fraction, function_leq_fraction, term_to_pwl
 
 F = Fraction
 
@@ -237,3 +237,69 @@ def test_function_leq_deep_shared_term():
     # min(1, 64*max(0, 2x-1)) vs the lattice form directly
     target = mv.min_of([L(1, 0), mv.max_of([L(0, 0), L(-64, 128)])])
     assert mv.function_eq(t, target, 1)
+
+
+# Each decision walks the cells of its operands; every operand, in either
+# position, is checked against the declared arity first.
+DECIDERS = {
+    "function_leq": lambda a, b, n: mv.function_leq(a, b, n),
+    "function_eq": lambda a, b, n: mv.function_eq(a, b, n),
+    "membership_bound": lambda a, b, n: mv.membership_bound(a, mv.PrincipalIdeal(b, n)),
+}
+
+
+@pytest.mark.parametrize("decide", DECIDERS.values(), ids=DECIDERS.keys())
+def test_decisions_check_operands(decide):
+    x = mv.var(1)
+    bad = [
+        (L(0, 1, 1), 1),  # an expression of arity 2 at arity 1
+        (mv.min_of([L(0, 1), L(0, 1, 1)]), 1),  # mixed-arity leaves
+        (mv.min_of([L(0, 1), L(0, 1, 1)]), 2),
+        (mv.var(3), 2),  # a term variable beyond the arity
+    ]
+    for operand, arity in bad:
+        with pytest.raises(mv.DomainError):
+            decide(operand, x, arity)
+        if not isinstance(operand, mv.Term):  # the generator is a term
+            continue
+        with pytest.raises(mv.DomainError):
+            decide(x, operand, arity)
+    for operand in (F(1, 2), "x", None):
+        with pytest.raises(TypeError):
+            decide(operand, x, 1)
+        with pytest.raises(TypeError):
+            decide(x, operand, 1)
+
+
+def test_operands_checked_before_the_region():
+    empty = mv.cube(2).with_constraints((mv.affine(1, [1, 0]),))  # x1 <= -1
+    assert mv.function_leq(mv.ONE, mv.var(2), 2, empty)
+    with pytest.raises(mv.DomainError):
+        mv.function_leq(mv.var(3), mv.var(2), 2, empty)
+    with pytest.raises(mv.DomainError):
+        mv.function_eq(mv.var(1), L(0, 1), 2, empty)
+
+
+def test_decisions_over_coprime_denominators():
+    x = mv.var(1)
+    halves = mv.leaf(mv.affine(0, [F(1, 2)]))
+    thirds = mv.leaf(mv.affine(F(1, 5), [F(1, 3)]))
+    # x/2 <= 1/5 + x/3 exactly for x <= 6/5, so everywhere on [0, 1]
+    assert mv.function_leq(halves, thirds, 1)
+    verdict = mv.function_leq(thirds, halves, 1)
+    assert verdict == function_leq_fraction(thirds, halves, 1)
+    assert verdict.witness == (F(0),)
+    assert not mv.function_eq(halves, thirds, 1)
+    # x/2 is below both 1/5 + x/3 and x, so the max never picks it
+    lower = mv.min_of([thirds, L(0, 1)])
+    assert mv.function_eq(mv.max_of([halves, lower]), lower, 1)
+    assert mv.function_eq(mv.max_of([halves, lower]), x, 1) == function_eq_fraction(
+        mv.max_of([halves, lower]), x, 1
+    )
+    # min(3x/2, 1/2 + x/3) <= m*x first holds at m = 2 (ratio 3/2 near 0)
+    element = mv.min_of(
+        [mv.leaf(mv.affine(0, [F(3, 2)])), mv.leaf(mv.affine(F(1, 2), [F(1, 3)]))]
+    )
+    assert mv.membership_bound(element, mv.PrincipalIdeal(x, 1)) == 2
+    assert mv.function_leq(element, mv.oplus(x, x), 1)
+    assert not mv.function_leq(element, x, 1)
