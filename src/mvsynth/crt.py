@@ -354,8 +354,11 @@ def _matches_on_zero_set(
     The generator vanishes exactly where the clamped constituents are
     ascending along the ordering; on one cell those clamps are the affine
     ``haffs``, so the locus is a polyhedral face and two LPs decide the
-    question.  An empty face passes vacuously.
+    question.  An empty face passes vacuously; an identically zero
+    ``diff`` passes without building the face.
     """
+    if diff.is_constant and diff.constant == 0:
+        return True
     face = cell.polytope.with_constraints(
         tuple(
             haffs[ordering[i] - 1] - haffs[ordering[i + 1] - 1]
@@ -363,8 +366,6 @@ def _matches_on_zero_set(
         )
     )
     if diff.is_constant:
-        if diff.constant == 0:
-            return True
         return lp_optimize(diff, face) is None  # nonzero: face must be empty
     top = lp_optimize(diff, face)
     if top is None:

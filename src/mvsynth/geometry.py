@@ -3,9 +3,16 @@
 Affine forms with rational coefficients, polytopes stored as settled
 integer half-spaces ``d.x <= beta`` (the cube bounds ``0 <= x_i <= 1``
 are always implicit), an exact two-phase simplex with Bland's rule on a
-fraction-free integer tableau, interior-point computation via a
-uniform-slack program, and sign-branching cell enumeration for finite
-form families.  Everything is deterministic and float-free.
+fraction-free integer tableau, and sign-branching cell enumeration for
+finite form families.  Everything is deterministic and float-free.
+
+Interior points come from an LP only at the root: a uniform-slack
+program gives the region that a cell walk starts from a strictly interior
+point.
+A form cuts a cell when the LP for its least (or greatest) value finds a
+vertex strictly on the other side from the cell's point, and the child on
+that side takes a point on the segment toward that vertex, past the cut
+(`split_points`); the other child keeps the parent's point.
 """
 
 from __future__ import annotations
@@ -464,10 +471,58 @@ def interior_point(polytope: Polytope) -> tuple[Fraction, ...] | None:
     return result
 
 
+def split_points(
+    form: AffineForm,
+    polytope: Polytope,
+    point: tuple[Fraction, ...],
+    value: Rational,
+) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
+    """Strictly interior points of the two sides ``form <= 0`` and
+    ``form >= 0`` of ``polytope``, each None when that side has empty
+    interior.
+
+    ``point`` is strictly interior to the polytope and ``value`` is
+    ``form`` at it.  A side that ``point`` is strictly on keeps it.  For
+    another side one LP finds the vertex v where the form is least (or
+    greatest); the side has interior exactly when v is strictly on it,
+    and then it gets ``point + t (v - point)`` with ``t = (1 + t0) / 2``,
+    where ``t0 = value / (value - form(v))`` is where the form vanishes
+    on the segment.  That point is strictly on v's side, and strictly
+    inside the polytope: a point strictly between an interior point and
+    a point of a closed convex body is interior.
+    """
+
+    def toward(res: LpResult) -> tuple[Fraction, ...]:
+        f = res.optimum
+        t = (2 * value - f) / (2 * (value - f))
+        return tuple(p + t * (v - p) for p, v in zip(point, res.witness))
+
+    below = point if value < 0 else None
+    above = point if value > 0 else None
+    if value >= 0:
+        res = lp_optimize(form, polytope, "min")
+        if res.optimum < 0:
+            below = toward(res)
+    if value <= 0:
+        res = lp_optimize(form, polytope)
+        if res.optimum > 0:
+            above = toward(res)
+    return below, above
+
+
 @dataclass(frozen=True)
 class Cell:
     """One full-dimensional sign cell: ``signs[i]`` fixes the sign of the
-    i-th input form; ``point`` is strictly interior."""
+    i-th input form; ``point`` is strictly interior to ``polytope``.
+
+    ``polytope`` holds only the half-spaces of forms that cut the branch
+    it was split from (and those of the ``within`` region); a form that
+    has one sign on the branch adds none, so it is the sign cell's point
+    set with fewer constraints.  ``point`` is the uniform-slack LP point
+    of the root region, kept down every branch that contains it; a branch
+    across a cut from its parent's point takes a point toward the LP
+    vertex that proved the cut (`split_points`).
+    """
 
     signs: tuple[str, ...]
     polytope: Polytope
@@ -485,9 +540,15 @@ def enumerate_cells(
     (or inside ``within``), ordered lexicographically with ``<=`` before
     ``>=``.
 
-    Forms must be pairwise distinct and non-constant; branches whose
-    polytope has empty interior are pruned, so each listed cell carries a
-    strictly interior point.
+    Forms must be pairwise distinct and non-constant.  The branching
+    solves an interior-point LP only for the root region.  At each
+    branch a form with one sign on the whole cube needs no LP; any other
+    form is tested with one LP (two when it vanishes at the branch's
+    point), whose vertex gives the far child its interior point
+    (`split_points`).  A form that does not cut the branch adds no
+    branch and no half-space, so each cell's polytope keeps only the
+    half-spaces that cut, and each listed cell carries a strictly
+    interior point.
     """
     base = within if within is not None else cube(arity)
     if base.arity != arity:
@@ -500,31 +561,33 @@ def enumerate_cells(
         if g in forms[:i]:
             raise ValueError("duplicate forms are not allowed here")
 
+    bounds = [g.bounds() for g in forms]
     cells: list[Cell] = []
     signs: list[str] = []
 
     def walk(idx: int, poly: Polytope, point):
-        # point: strictly interior to poly when inherited from the parent
-        # branch; recomputed (one LP) only when inheritance fails.
-        if point is None:
-            point = interior_point(poly)
-            if point is None:
-                return
         if idx == len(forms):
             cells.append(Cell(tuple(signs), poly, point))
             return
         g = forms[idx]
-        value = g.evaluate(point)
-        signs.append(SIGN_LE)
-        walk(idx + 1, poly.with_constraints((g,)), point if value < 0 else None)
-        signs.pop()
-        signs.append(SIGN_GE)
-        walk(
-            idx + 1,
-            poly.with_constraints((g.negated(),)),
-            point if value > 0 else None,
-        )
-        signs.pop()
+        lo, hi = bounds[idx]
+        if hi <= 0:
+            le_point, ge_point = point, None
+        elif lo >= 0:
+            le_point, ge_point = None, point
+        else:
+            le_point, ge_point = split_points(g, poly, point, g.evaluate(point))
+        cut = le_point is not None and ge_point is not None
+        if le_point is not None:
+            signs.append(SIGN_LE)
+            walk(idx + 1, poly.with_constraints((g,)) if cut else poly, le_point)
+            signs.pop()
+        if ge_point is not None:
+            signs.append(SIGN_GE)
+            walk(idx + 1, poly.with_constraints((g.negated(),)) if cut else poly, ge_point)
+            signs.pop()
 
-    walk(0, base, None)
+    root = interior_point(base)
+    if root is not None:
+        walk(0, base, root)
     return cells

@@ -46,6 +46,7 @@ from .geometry import (
     cube,
     interior_point,
     lp_optimize,
+    split_points,
 )
 from .terms import Term, as_point
 
@@ -187,10 +188,17 @@ def _resolve_at(expr: PwlExpr, point: tuple[Fraction, ...]) -> AffineForm:
 # where an LP needs one.
 
 class _Split(Exception):
-    """Raised during cell resolution when a form changes sign on the cell."""
+    """Raised during cell resolution when a form changes sign on the cell.
 
-    def __init__(self, form: tuple[int, ...]):
-        self.form = form
+    Carries the form's primitive representative ``canon``, whether the
+    form is a negative multiple of it, and a strictly interior point of
+    each side of the cut, ``canon <= 0`` and ``canon >= 0``."""
+
+    def __init__(self, canon: tuple[int, ...], flipped: bool, below, above):
+        self.canon = canon
+        self.flipped = flipped
+        self.below = below
+        self.above = above
 
 
 def _canonical(form: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
@@ -223,24 +231,22 @@ def _scaled(form: AffineForm, den: int) -> tuple[int, ...]:
 
 
 class _CellCtx:
-    __slots__ = ("polytope", "scaled_point", "signs")
+    __slots__ = ("polytope", "point", "scaled_point", "signs")
 
     def __init__(self, polytope: Polytope, point: tuple[Fraction, ...], signs: dict):
         self.polytope = polytope
+        self.point = point
         den = lcm(*(p.denominator for p in point))
         # (den, den * point): the dot product with an int form is the
         # form's value at the point times den > 0.
         self.scaled_point = (den, *(p.numerator * (den // p.denominator) for p in point))
-        self.signs: dict[tuple[int, ...], int | None] = signs
+        self.signs: dict[tuple[int, ...], int] = signs
 
-    def value_sign(self, form: tuple[int, ...]) -> int:
-        """A number with the sign of ``form`` at the cell's point."""
-        return sum(map(mul, form, self.scaled_point))
-
-    def sign(self, form: tuple[int, ...]) -> tuple[int | None, bool]:
-        """Sign of ``form`` on the cell: -1 (<= 0 everywhere), +1 (>= 0
-        everywhere) or None (both).  Second component: True when the
-        answer holds on the whole cube, not just this cell."""
+    def sign(self, form: tuple[int, ...]) -> tuple[int, bool]:
+        """Sign of ``form`` on the cell: -1 (<= 0 everywhere) or +1 (>= 0
+        everywhere); raises `_Split` when it takes both signs.  Second
+        component: True when the answer holds on the whole cube, not just
+        this cell."""
         lo = hi = form[0]
         for v in form[1:]:
             if v > 0:
@@ -252,27 +258,16 @@ class _CellCtx:
         if hi <= 0:
             return -1, True
         canon, flipped = _canonical(form)
-        sign = self.signs.get(canon, 0)  # stored signs are 1, -1 or None
-        if sign == 0:
-            objective = _affine(canon)
-            value = self.value_sign(canon)
-            if value > 0:
-                res = lp_optimize(objective, self.polytope, "min")
-                sign = 1 if res.optimum >= 0 else None
-            elif value < 0:
-                res = lp_optimize(objective, self.polytope)
-                sign = -1 if res.optimum <= 0 else None
-            else:
-                hi_res = lp_optimize(objective, self.polytope)
-                if hi_res.optimum <= 0:
-                    sign = -1
-                else:
-                    lo_res = lp_optimize(objective, self.polytope, "min")
-                    sign = 1 if lo_res.optimum >= 0 else None
+        sign = self.signs.get(canon)
+        if sign is None:
+            scaled = self.scaled_point
+            value = Fraction(sum(map(mul, canon, scaled)), scaled[0])
+            below, above = split_points(_affine(canon), self.polytope, self.point, value)
+            if below is not None and above is not None:
+                raise _Split(canon, flipped, below, above)
+            sign = -1 if above is None else 1
             self.signs[canon] = sign
-        if sign is not None and flipped:
-            sign = -sign
-        return sign, False
+        return (-sign if flipped else sign), False
 
 
 # Cube-wide resolutions of interned term nodes: arity -> {node id: int
@@ -324,8 +319,6 @@ def _affinize(root, arity: int, ctx: _CellCtx, local: dict, den: int) -> tuple[i
             total = tuple(map(add, forms[0], forms[1]))
             overflow = (total[0] - 1, *total[1:])
             sign, from_box = ctx.sign(overflow)
-            if sign is None:
-                raise _Split(overflow)
             form = one if sign > 0 else total
             pure = pure and from_box
         elif isinstance(node, terms.Neg):
@@ -353,8 +346,6 @@ def _affinize(root, arity: int, ctx: _CellCtx, local: dict, den: int) -> tuple[i
                         form = cand
                     continue
                 sign, _ = ctx.sign(delta)
-                if sign is None:
-                    raise _Split(delta)
                 if (want_min and sign > 0) or (not want_min and sign < 0):
                     form = cand
 
@@ -407,45 +398,45 @@ def _cells(operands: Sequence[FunctionLike], arity: int, region: Polytope | None
     when some clamp or lattice choice genuinely changes sign on it, so
     the cost tracks the functions' true piecewise structure rather than
     their syntax size.  Cells come depth first; a consumer may stop early.
+
+    Every cell carries a strictly interior point, which picks the LP that
+    settles a sign.  Only the region's point comes from an LP
+    (`interior_point`, once per walk); a split child either keeps its
+    parent's point or takes one toward the vertex that proved the cut.
     """
     dens = [_fold_operand(obj, arity) for obj in operands]
     region = _check_region(region, arity)
-    if interior_point(region) is None:
+    root = interior_point(region)
+    if root is None:
         if lp_optimize(const_form(arity, 0), region) is None:
             return  # empty region: no cells
         raise DomainError("region has points but empty interior; not supported")
     den = lcm(*dens)
     # Every form is yielded over den; a term's forms are over 1.
     ups = [den if isinstance(obj, Term) else 1 for obj in operands]
-    todo: list[tuple[Polytope, object, dict, dict]] = [(region, None, {}, {})]
+    todo: list[tuple[Polytope, tuple, dict, dict]] = [(region, root, {}, {})]
     while todo:
         piece, point, signs, local = todo.pop()
-        if point is None:
-            point = interior_point(piece)
-            if point is None:
-                continue  # empty-interior pieces are covered by siblings
         ctx = _CellCtx(piece, point, signs)
         try:
             forms = [_affinize(obj, arity, ctx, local, den) for obj in operands]
         except _Split as split:
             # Everything resolved so far holds on both halves (they are
-            # subsets of this piece), so the children inherit the work;
-            # only still-ambiguous sign entries must be dropped.  The
-            # interior point is inherited by the half it strictly
-            # satisfies.
-            canon, flipped = _canonical(split.form)
-            value = ctx.value_sign(split.form)
-            kept = {k: v for k, v in ctx.signs.items() if v is not None}
-            le_signs = dict(kept)
-            le_signs[canon] = 1 if flipped else -1
-            ge_signs = kept
-            ge_signs[canon] = -1 if flipped else 1
+            # subsets of this piece), so the children inherit the work
+            # and the settled signs.  No child needs an interior-point
+            # LP: the half the point strictly satisfies inherits it, and
+            # the other takes the point toward the vertex of the sign LP
+            # that found the cut (`split_points`).  The half where the
+            # split form is <= 0 is walked first.
+            canon = split.canon
             form = _affine(canon)
-            le, ge = (form.negated(), form) if flipped else (form, form.negated())
-            ge_point = point if value > 0 else None
-            le_point = point if value < 0 else None
-            todo.append((piece.with_constraints((ge,)), ge_point, ge_signs, dict(local)))
-            todo.append((piece.with_constraints((le,)), le_point, le_signs, local))
+            below_signs = dict(ctx.signs)
+            below_signs[canon] = -1
+            above_signs = ctx.signs
+            above_signs[canon] = 1
+            below = (piece.with_constraints((form,)), split.below, below_signs, dict(local))
+            above = (piece.with_constraints((form.negated(),)), split.above, above_signs, local)
+            todo += (below, above) if split.flipped else (above, below)
             continue
         if den > 1:
             forms = [

@@ -28,9 +28,16 @@ Rational = Union[int, Fraction]
 class Term:
     """Base class for interned term nodes.  Build terms with the module
     factories (`var`, `neg`, `oplus`, ...), never by calling the node
-    classes directly."""
+    classes directly.
 
-    __slots__ = ()
+    ``max_var`` is the largest variable index in the term (0 if none),
+    set once by the constructor from the children's, so checking a term
+    against an arity does not walk it."""
+
+    __slots__ = ("max_var",)
+
+    def __init__(self):
+        object.__setattr__(self, "max_var", 0)
 
     def __setattr__(self, name, value):
         raise AttributeError("Term nodes are immutable")
@@ -54,6 +61,7 @@ class Var(Term):
     __slots__ = ("index",)
 
     def __init__(self, index: int):
+        object.__setattr__(self, "max_var", index)
         object.__setattr__(self, "index", index)
 
 
@@ -61,6 +69,7 @@ class Neg(Term):
     __slots__ = ("child",)
 
     def __init__(self, child: Term):
+        object.__setattr__(self, "max_var", child.max_var)
         object.__setattr__(self, "child", child)
 
 
@@ -68,6 +77,8 @@ class Oplus(Term):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Term, right: Term):
+        lm, rm = left.max_var, right.max_var
+        object.__setattr__(self, "max_var", lm if lm > rm else rm)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
@@ -80,6 +91,14 @@ ONE: Term = One()
 _interned: dict[tuple, Term] = {}
 
 
+def _intern(key: tuple, cls, *args) -> Term:
+    """The interned node for ``key``, built from ``args`` on first use."""
+    node = _interned.get(key)
+    if node is None:
+        node = _interned[key] = cls(*args)
+    return node
+
+
 def _require_term(t) -> Term:
     if not isinstance(t, Term):
         raise TypeError(f"expected a Term, got {type(t).__name__}")
@@ -89,18 +108,18 @@ def _require_term(t) -> Term:
 def var(index: int) -> Term:
     if isinstance(index, bool) or not isinstance(index, int) or index < 1:
         raise DomainError(f"variable index must be an integer >= 1, got {index!r}")
-    return _interned.setdefault(("v", index), Var(index))
+    return _intern(("v", index), Var, index)
 
 
 def neg(child: Term) -> Term:
     _require_term(child)
-    return _interned.setdefault(("n", id(child)), Neg(child))
+    return _intern(("n", id(child)), Neg, child)
 
 
 def oplus(left: Term, right: Term) -> Term:
     _require_term(left)
     _require_term(right)
-    return _interned.setdefault(("o", id(left), id(right)), Oplus(left, right))
+    return _intern(("o", id(left), id(right)), Oplus, left, right)
 
 
 def otimes(a: Term, b: Term) -> Term:
@@ -343,13 +362,7 @@ def term_oplus_depth(t: Term) -> int:
 
 def max_var_index(t: Term) -> int:
     """Largest variable index occurring in the term; 0 if none."""
-
-    def step(node, vals):
-        if isinstance(node, Var):
-            return node.index
-        return max(vals, default=0)
-
-    return _fold(t, step)
+    return _require_term(t).max_var
 
 
 def _children(node: Term) -> tuple[Term, ...]:

@@ -80,6 +80,14 @@ def random_pwl_pair(rng: random.Random):
     return arity, make(), make()
 
 
+def strictly_inside(polytope, point) -> bool:
+    """Does the point satisfy every half-space and cube bound strictly?"""
+    return all(0 < p < 1 for p in point) and all(
+        sum(d_i * p for d_i, p in zip(d, point)) < beta
+        for d, beta in polytope.constraints
+    )
+
+
 def random_polytope(rng: random.Random, arity: int, max_constraints: int = 6):
     count = rng.randint(0, max_constraints)
     forms = []

@@ -36,6 +36,14 @@ re-derived the half-space of each form, merged parallel ones and kept the
 first violated constant at the end; ``lp_optimize`` and
 ``interior_point`` built their kernel rows from those forms.  The library
 must hand the kernel the same rows in the same order.
+
+``enumerate_cells_lp`` is ``mvsynth.geometry.enumerate_cells`` as it was
+before split cells took their points toward the vertex that proved the
+cut: every branch is split on every form, and a child that does not
+inherit its parent's point solves the uniform-slack interior-point LP,
+which prunes it when its interior is empty.  The library must list the
+same sign vectors in the same order, with points strictly inside both
+cells.
 """
 
 from __future__ import annotations
@@ -48,9 +56,14 @@ from mvsynth import terms
 from mvsynth.crt import DEFAULT_CAP, PrincipalIdeal
 from mvsynth.errors import CapExceededError, DomainError, NotMemberError
 from mvsynth.geometry import (
+    SIGN_GE,
+    SIGN_LE,
     AffineForm,
+    Cell,
+    CellDecomposition,
     Polytope,
     const_form,
+    cube,
     dedup_canonical_forms,
     enumerate_cells,
     interior_point,
@@ -841,3 +854,57 @@ def eval_term_fraction(t: Term, point: Sequence[Rational]) -> Fraction:
                 if lv is None:
                     stack.append(node.left)
     return memo[id(t)]
+
+
+# --- cell enumeration with an interior-point LP per branch ------------------
+
+def enumerate_cells_lp(
+    forms: Sequence[AffineForm], arity: int, within: Polytope | None = None
+) -> CellDecomposition:
+    """All full-dimensional sign cells of a form family inside the cube
+    (or inside ``within``), ordered lexicographically with ``<=`` before
+    ``>=``.
+
+    Forms must be pairwise distinct and non-constant; branches whose
+    polytope has empty interior are pruned, so each listed cell carries a
+    strictly interior point.
+    """
+    base = within if within is not None else cube(arity)
+    if base.arity != arity:
+        raise DomainError("within-polytope arity mismatch")
+    for i, g in enumerate(forms):
+        if g.arity != arity:
+            raise DomainError("form arity mismatch")
+        if g.is_constant:
+            raise ValueError("constant forms are not allowed here")
+        if g in forms[:i]:
+            raise ValueError("duplicate forms are not allowed here")
+
+    cells: list[Cell] = []
+    signs: list[str] = []
+
+    def walk(idx: int, poly: Polytope, point):
+        # point: strictly interior to poly when inherited from the parent
+        # branch; recomputed (one LP) only when inheritance fails.
+        if point is None:
+            point = interior_point(poly)
+            if point is None:
+                return
+        if idx == len(forms):
+            cells.append(Cell(tuple(signs), poly, point))
+            return
+        g = forms[idx]
+        value = g.evaluate(point)
+        signs.append(SIGN_LE)
+        walk(idx + 1, poly.with_constraints((g,)), point if value < 0 else None)
+        signs.pop()
+        signs.append(SIGN_GE)
+        walk(
+            idx + 1,
+            poly.with_constraints((g.negated(),)),
+            point if value > 0 else None,
+        )
+        signs.pop()
+
+    walk(0, base, None)
+    return cells

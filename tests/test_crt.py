@@ -4,10 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvsynth as mv
+from mvsynth.crt import _matches_on_zero_set
 from conftest import (
     build_corpus,
+    clamp_description,
     curated_corpus,
     grid_points,
     membership_heavy_description,
@@ -500,3 +504,48 @@ def test_synthesize_rejects_invalid():
         mv.synthesize_crt(L(0, 2))
     with pytest.raises(mv.InvalidDescriptionError):
         mv.synthesize_direct(L(0, 2))
+
+
+def _clamped_descriptions(arity: int):
+    """min(1, max(0, E)) for a random integer lattice expression E of depth
+    at most 2 (leaves with coefficients in -3..3)."""
+    entry = st.integers(-3, 3)
+    leaves = st.builds(
+        lambda constant, coeffs: L(constant, *coeffs),
+        entry,
+        st.lists(entry, min_size=arity, max_size=arity),
+    )
+    trees = leaves
+    for _ in range(2):
+        kids = st.lists(trees, min_size=2, max_size=2)
+        trees = st.one_of(leaves, st.builds(mv.min_of, kids), st.builds(mv.max_of, kids))
+    return trees.map(lambda body: clamp_description(body, arity))
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(data=st.data())
+def test_compilers_agree_property(arity, data):
+    # Both compilers on random descriptions, arity 3 included: the outputs
+    # are function-equal and match the description at random rationals.
+    description = data.draw(_clamped_descriptions(arity))
+    glued = mv.synthesize_crt(description)
+    direct = mv.synthesize_direct(description)
+    assert mv.function_eq(glued, direct, arity)
+    coordinate = st.fractions(0, 1, max_denominator=24)
+    for point in data.draw(st.lists(st.tuples(*[coordinate] * arity), min_size=3, max_size=3)):
+        want = mv.eval_pwl(description, point)
+        assert mv.eval_term(glued, point) == want
+        assert mv.eval_term(direct, point) == want
+
+
+def test_matches_on_zero_set_constant_differences():
+    # A constant difference matches on the zero-set face only when it is 0
+    # or the face is empty; the face of ordering (1, 2) is the whole cell.
+    cell = mv.enumerate_cells([mv.affine(-1, [2])], 1)[0]  # x <= 1/2
+    haffs = [mv.affine(0, [1]), mv.const_form(1, 1)]
+    zero, half = mv.const_form(1, 0), mv.const_form(1, F(1, 2))
+    assert _matches_on_zero_set(zero, haffs, (1, 2), cell)
+    assert not _matches_on_zero_set(half, haffs, (1, 2), cell)
+    assert _matches_on_zero_set(half, haffs, (2, 1), cell)  # 1 <= x: empty face
+    assert not _matches_on_zero_set(mv.affine(F(-1, 4), [1]), haffs, (1, 2), cell)

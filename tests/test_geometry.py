@@ -2,13 +2,15 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 import mvsynth as mv
 from mvsynth import geometry
-from conftest import brute_force_lp, grid_points, random_polytope
+from conftest import brute_force_lp, grid_points, random_polytope, strictly_inside
 from oracles import (
+    enumerate_cells_lp,
     interior_lp_fraction,
     lp_rows_fraction,
     settle_forms,
@@ -177,8 +179,8 @@ def test_enumerate_cells_within_region():
 
 def test_cells_cover_grid_and_signs_strict():
     rng = random.Random(99)
-    for _ in range(12):
-        arity = rng.choice([1, 2])
+    for _ in range(18):
+        arity = rng.choice([1, 2, 3])
         raw = [
             mv.AffineForm(
                 F(rng.randint(-2, 2)),
@@ -193,9 +195,70 @@ def test_cells_cover_grid_and_signs_strict():
         for point in grid_points(arity, 8):
             assert any(c.polytope.contains(point) for c in cells)
         for cell in cells:
+            assert strictly_inside(cell.polytope, cell.point)
             for g, s in zip(forms, cell.signs):
                 v = g.evaluate(cell.point)
                 assert v < 0 if s == "<=" else v > 0
+
+
+def _reference_family(rng: random.Random, arity: int, within) -> list:
+    """A family mixing one-signed forms (some touching 0 on the cube's
+    boundary), forms that vanish at the point of the branch they are
+    tested on, and general forms."""
+    forms: list = []
+    for _ in range(rng.randint(2, 5 if arity < 4 else 4)):
+        coeffs = [rng.randint(-3, 3) for _ in range(arity)]
+        if not any(coeffs):
+            continue
+        kind = rng.random()
+        if kind < 0.3:
+            # lo >= 0 or hi <= 0 over the cube, often with equality.
+            slack = rng.choice([0, 0, 1])
+            if rng.random() < 0.5:
+                constant = -sum(c for c in coeffs if c < 0) + slack
+            else:
+                constant = -sum(c for c in coeffs if c > 0) - slack
+        elif kind < 0.65:
+            # The next form is tested at each branch point of the family so
+            # far, which is that family's cell point: vanish at one of them.
+            cells = mv.enumerate_cells(forms, arity, within)
+            if not cells:
+                continue
+            point = rng.choice(cells).point
+            constant = -sum(map(mul, coeffs, point))
+        else:
+            constant = F(rng.randint(-4, 4), rng.randint(1, 3))
+        forms = mv.dedup_canonical_forms(forms + [mv.affine(constant, coeffs)])
+    return forms
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_enumerate_cells_matches_lp_reference(arity):
+    # Same sign vectors in the same order as the enumeration that solves an
+    # interior-point LP per branch; each point strictly inside both cells,
+    # and the cell's polytope keeps only the half-spaces that cut.
+    rng = random.Random(4400 + arity)
+    cells_seen = fewer = vanishing = one_signed = 0
+    for _ in range(40):
+        within = random_polytope(rng, arity, 2) if rng.random() < 0.3 else None
+        forms = _reference_family(rng, arity, within)
+        if not forms:
+            continue
+        got = mv.enumerate_cells(forms, arity, within)
+        want = enumerate_cells_lp(forms, arity, within)
+        assert [c.signs for c in got] == [c.signs for c in want]
+        for new, ref in zip(got, want):
+            assert strictly_inside(new.polytope, new.point)
+            assert strictly_inside(ref.polytope, new.point)
+            assert strictly_inside(new.polytope, ref.point)
+            fewer += len(new.polytope.constraints) < len(ref.polytope.constraints)
+        for i, g in enumerate(forms):
+            lo, hi = g.bounds()
+            one_signed += lo >= 0 or hi <= 0
+            prefix = mv.enumerate_cells(forms[:i], arity, within)
+            vanishing += any(g.evaluate(c.point) == 0 for c in prefix)
+        cells_seen += len(got)
+    assert cells_seen > 80 and fewer > 30 and vanishing > 5 and one_signed > 5
 
 
 def test_determinism():

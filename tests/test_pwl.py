@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvsynth as mv
-from conftest import grid_points, random_point, random_pwl, random_pwl_pair, random_term
+from mvsynth import pwl
+from conftest import (
+    grid_points,
+    random_point,
+    random_pwl,
+    random_pwl_pair,
+    random_term,
+    strictly_inside,
+)
 from oracles import decide_leq, function_eq_fraction, function_leq_fraction, term_to_pwl
 
 F = Fraction
@@ -303,3 +311,54 @@ def test_decisions_over_coprime_denominators():
     assert mv.membership_bound(element, mv.PrincipalIdeal(x, 1)) == 2
     assert mv.function_leq(element, mv.oplus(x, x), 1)
     assert not mv.function_leq(element, x, 1)
+
+
+def test_walks_solve_one_interior_point_lp(monkeypatch):
+    # A walk solves the interior-point LP for its region only: a split child
+    # keeps its parent's point or takes one toward the vertex of the sign
+    # LP that found the cut, and every cell's point is strictly interior.
+    calls, cells = [], []
+    interior_point = pwl.interior_point
+
+    def counted(polytope):
+        calls.append(polytope)
+        return interior_point(polytope)
+
+    class Recorded(pwl._CellCtx):
+        __slots__ = ()
+
+        def __init__(self, polytope, point, signs):
+            cells.append((polytope, point))
+            super().__init__(polytope, point, signs)
+
+    monkeypatch.setattr(pwl, "interior_point", counted)
+    monkeypatch.setattr(pwl, "_CellCtx", Recorded)
+    x1, x2 = mv.var(1), mv.var(2)
+    walks = [
+        # x1 - x2, the first split form, vanishes at the cube's centre.
+        lambda: mv.function_eq(mv.wedge(x1, x2), x1, 2),
+        lambda: mv.function_eq(mv.oplus(x1, x2), mv.min_of([L(1, 0, 0), L(0, 1, 1)]), 2),
+        lambda: mv.function_leq(
+            mv.vee(x1, mv.neg(x2)), mv.ONE, 2,
+            mv.cube(2).with_constraints((mv.affine(-1, [1, 1]),)),
+        ),
+        lambda: mv.membership_bound(mv.ominus(x1, x2), mv.PrincipalIdeal(mv.dist(x1, x2), 2)),
+    ]
+    rng = random.Random(64)
+    for _ in range(30):
+        arity = rng.randint(1, 3)
+        s, t = (random_term(rng, arity, rng.randint(2, 5)) for _ in range(2))
+        walks.append(lambda s=s, t=t, arity=arity: mv.function_eq(s, t, arity))
+    splits = 0
+    for walk in walks:
+        calls.clear()
+        cells.clear()
+        walk()
+        assert len(calls) == 1
+        assert all(strictly_inside(poly, point) for poly, point in cells)
+        splits += len(cells) > 1
+    assert splits > 10
+    cells.clear()
+    mv.function_eq(mv.wedge(x1, x2), x1, 2)
+    assert [point for _, point in cells][0] == (F(1, 2), F(1, 2))
+    assert len(cells) == 3

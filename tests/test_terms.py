@@ -1,6 +1,7 @@
 """Term syntax, evaluation, derived connectives, parsing and printing."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -214,6 +215,18 @@ def test_structural_measurements():
     assert mv.term_oplus_depth(t) == 2
     assert mv.max_var_index(t) == 2
     assert mv.max_var_index(mv.ZERO) == 0
+
+
+def test_max_var_index_matches_a_walk():
+    # The index is kept on each node; a walk over the printed term agrees.
+    rng = random.Random(23)
+    for _ in range(200):
+        t = random_term(rng, rng.randint(1, 5), rng.randint(0, 6))
+        indices = [int(v) for v in re.findall(r"\(var (\d+)\)", mv.print_term(t))]
+        assert mv.max_var_index(t) == max(indices, default=0)
+    assert mv.max_var_index(mv.parse_term("(wedge (var 7) (neg (var 2)))")) == 7
+    with pytest.raises(TypeError):
+        mv.max_var_index("(var 1)")
 
 
 def test_deep_terms_do_not_recurse():
