@@ -7,17 +7,13 @@ the same function:
    forms, groups the cells by the induced ordering of the clamped
    constituents, verifies cell by cell which constituent the function
    equals on each group, and attaches the group's difference ideal.
-2. `chinese_glue` glues the per-group constituent terms along a
-   balanced binary tree (recursive halving, so ceil(log2 groups) levels
-   and a polynomial-size term); each combine applies the explicit
-   two-ideal gluing formula
-
-       (a1 - a2 - c1) (+) (a2 - a1 - d2) (+) (a1 /\\ a2)
-
-   (truncated operations) where c1 and d2 are iterates of the ideal
-   generators by the least multipliers of a1 - a2 and a2 - a1 in the
-   joined ideal: both multipliers of a combine in one walk, over the
-   cells of the operand tuple (a1 - a2, a2 - a1, joined generator).
+2. `chinese_glue` glues the per-group constituent terms in one level:
+   groups with the same term merge into one arm (intersecting their
+   ideals), one walk per pair of arms s < t finds the least multipliers
+   of a_s - a_t and a_t - a_s in the joined ideal G_s (+) G_t, and the
+   output is the join over the arms of a_s - M_s * G_s (truncated
+   operations), M_s the largest multiplier of a_s, a term linear in the
+   arms.
 3. The result is certified function-equal to the input before being
    returned; certification failure is a bug, never a silent wrong answer.
 
@@ -30,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from operator import mul
 from typing import Sequence
 
@@ -111,6 +108,9 @@ class RegionGroup:
 
 @dataclass
 class CombineRecord:
+    """One pair check of `chinese_glue`: two arms, their merged ideals, the
+    least multipliers of left - right and right - left, and the output."""
+
     left: Term
     right: Term
     left_ideal: PrincipalIdeal
@@ -216,10 +216,9 @@ def membership_bound(
 ) -> int:
     """Least m >= 1 with element <= m * generator everywhere on the cube.
 
-    The one-element case of the multiplier search that finds both
-    multipliers of a combine in one walk over the cells: Dinkelbach's
-    iteration on integers, over the cells where element and generator
-    are affine.  Raises `NotMemberError` at a vertex where the generator
+    The one-element case of `_least_multipliers`: Dinkelbach's iteration
+    on integers, over the cells where element and generator are
+    affine.  Raises `NotMemberError` at a vertex where the generator
     is 0 and the element positive (no m can ever work), and
     `CapExceededError` as soon as m exceeds the cap.
     """
@@ -243,40 +242,13 @@ def combine_pair(
     cap: int = DEFAULT_CAP,
     trace: SynthesisTrace | None = None,
 ) -> Term:
-    """Glue two terms congruent modulo the joined ideal into one term
-    congruent to a1 modulo ideal1 and to a2 modulo ideal2.
-
-    Requires both truncated differences of a1 and a2 to be members of
-    the ideal generated by generator1 (+) generator2; otherwise raises
-    `NotCongruentError` with a witness point.  It finds both multipliers
-    of a combine in one walk, over the cells of the operand tuple
-    ``(a1 - a2, a2 - a1, generator1 (+) generator2)``: the second
-    difference splits no cell, since its only sign test, the sign of
-    a1 - a2, is settled by the first.  A failure of a1 - a2 wins over
-    one of a2 - a1, as with two separate `membership_bound` calls in
-    that order.
-    """
-    if ideal1.arity != ideal2.arity:
-        raise DomainError("ideal arity mismatch")
-    join = PrincipalIdeal(oplus(ideal1.generator, ideal2.generator), ideal1.arity)
-    try:
-        m1, m2 = _least_multipliers((ominus(a1, a2), ominus(a2, a1)), join, cap)
-    except NotMemberError as ex:
-        raise NotCongruentError(
-            "sides differ where the joined ideal's generator vanishes",
-            ex.witness,
-        ) from ex
-    c1 = iterate_oplus(m1, ideal1.generator)
-    d2 = iterate_oplus(m2, ideal2.generator)
-    glued = oplus(
-        oplus(ominus(ominus(a1, a2), c1), ominus(ominus(a2, a1), d2)),
-        wedge(a1, a2),
-    )
-    if trace is not None:
-        trace.combines.append(
-            CombineRecord(a1, a2, ideal1, ideal2, glued, m1, m2)
-        )
-    return glued
+    """The two-pair case of `chinese_glue`: one term congruent to a1
+    modulo ideal1 and to a2 modulo ideal2, namely
+    ``(a1 - m1 * generator1) \\/ (a2 - m2 * generator2)`` with the least
+    multipliers of a1 - a2 and a2 - a1 in the joined ideal (a failure of
+    a1 - a2 wins over one of a2 - a1).  Equal terms give a1 itself, with
+    no walk and no trace record."""
+    return chinese_glue(((a1, ideal1), (a2, ideal2)), cap, trace)
 
 
 def chinese_glue(
@@ -285,38 +257,65 @@ def chinese_glue(
     trace: SynthesisTrace | None = None,
 ) -> Term:
     """Glue (term, ideal) pairs into one term congruent to every input
-    term modulo its ideal.
+    term modulo its ideal, in one level of pairwise congruences.
 
-    The pairs are halved recursively, the left block taking the extra
-    pair, and the two blocks' results are joined with `combine_pair` and
-    `intersect_principal`.  Any bracketing is sound (the ideal lattice of
-    an MV-algebra is distributive); halving keeps the combine tree
-    ceil(log2 n) deep, so the glued term is polynomial in n where a left
-    fold, copying the accumulated term three times per pair, is
-    exponential.  Up to three pairs glue exactly as a left fold.
+    1. Pairs with the same term merge into one arm, whose ideal is the
+       intersection of theirs; arms keep the order of their first pair.
+       A single arm is returned unchanged.
+    2. For each pair of arms s < t, one walk over the cells of
+       ``(a_s - a_t, a_t - a_s, G_s (+) G_t)`` gives the least m_st and
+       m_ts with ``a_s - a_t <= m_st * (G_s (+) G_t)`` and the reverse.
+    3. M_s is the largest m_st over t.
+    4. The output is ``\\/_s (a_s - M_s * G_s)`` joined left to right by
+       `vee`, which copies only its right operand: each arm occurs at
+       most twice, so the term is linear in the arms.
 
-    A congruence failure re-raises the `NotCongruentError` with ``index``
-    set to the 1-based position of the first pair of the right block of
-    the failing combine.
+    Soundness: where G_t = 0, arm t is a_t and every other arm s is at
+    most a_t, as a_s - a_t <= m_st * G_s wherever G_t vanishes; so the
+    output is a_t on the zero set of G_t, and these zero sets cover the
+    cube (that of an intersection is the union of the zero sets).
+
+    With a trace, each pair check appends a `CombineRecord`: the two
+    arms, their merged ideals, m_st and m_ts, and the glued output.  A
+    congruence failure raises `NotCongruentError` whose ``index`` is the
+    1-based position of the first pair holding the later arm of the
+    first failing pair check, in (s, t) order.
     """
-    items = list(pairs)
-    if not items:
+    arms: dict[Term, PrincipalIdeal] = {}
+    for term, ideal in pairs:
+        arms[term] = intersect_principal(arms[term], ideal) if term in arms else ideal
+    if not arms:
         raise DomainError("at least one (term, ideal) pair is required")
-
-    def glue(lo: int, hi: int) -> tuple[Term, PrincipalIdeal]:
-        if hi - lo == 1:
-            return items[lo]
-        mid = lo + (hi - lo + 1) // 2
-        left, left_ideal = glue(lo, mid)
-        right, right_ideal = glue(mid, hi)
+    terms, ideals = list(arms), list(arms.values())
+    arity = ideals[0].arity
+    if any(ideal.arity != arity for ideal in ideals):
+        raise DomainError("ideal arity mismatch")
+    if len(terms) == 1:
+        return terms[0]
+    bounds = [1] * len(terms)
+    checks = []
+    for s, t in combinations(range(len(terms)), 2):
+        a_s, a_t = terms[s], terms[t]
+        join = PrincipalIdeal(oplus(ideals[s].generator, ideals[t].generator), arity)
         try:
-            term = combine_pair(left, right, left_ideal, right_ideal, cap, trace)
-        except NotCongruentError as ex:
-            ex.index = mid + 1
-            raise
-        return term, intersect_principal(left_ideal, right_ideal)
-
-    return glue(0, len(items))[0]
+            m_st, m_ts = _least_multipliers((ominus(a_s, a_t), ominus(a_t, a_s)), join, cap)
+        except NotMemberError as ex:
+            raise NotCongruentError(
+                "sides differ where the joined ideal's generator vanishes",
+                ex.witness,
+                [term for term, _ in pairs].index(a_t) + 1,
+            ) from ex
+        bounds[s], bounds[t] = max(bounds[s], m_st), max(bounds[t], m_ts)
+        checks.append((s, t, m_st, m_ts))
+    glued = reduce(vee, [
+        ominus(a, iterate_oplus(m, g.generator)) for a, g, m in zip(terms, ideals, bounds)
+    ])
+    if trace is not None:
+        trace.combines.extend(
+            CombineRecord(terms[s], terms[t], ideals[s], ideals[t], glued, m_st, m_ts)
+            for s, t, m_st, m_ts in checks
+        )
+    return glued
 
 
 def _check_range(description: PwlExpr, arity: int):
@@ -455,8 +454,9 @@ def synthesize_crt(
     cap: int = DEFAULT_CAP,
     trace: SynthesisTrace | None = None,
 ) -> Term:
-    """Glued synthesis: region analysis, then the congruence fold, then a
-    mandatory exact certificate against the description."""
+    """Glued synthesis: region analysis, then `chinese_glue` over the
+    groups' (term, ideal) pairs, then a mandatory exact certificate
+    against the description."""
     arity = pwl_arity(description)
     groups = analyze_regions(description)
     if trace is not None:

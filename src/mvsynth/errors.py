@@ -43,11 +43,10 @@ class NotMemberError(MvSynthError):
 
 
 class NotCongruentError(MvSynthError):
-    """Gluing precondition failed: the two sides differ at a point where
-    the joined ideal's generator vanishes.  From `chinese_glue`,
-    ``index`` is the 1-based position of the first pair of the right
-    block of the failing combine (the failing pair itself when that
-    block is one pair)."""
+    """Gluing precondition failed: two arms differ at a point where the
+    joined ideal's generator vanishes.  From `chinese_glue`, ``index`` is
+    the 1-based position of the first pair holding the later arm of the
+    first failing pair check."""
 
     def __init__(self, message: str, witness, index=None):
         super().__init__(message)

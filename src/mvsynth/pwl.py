@@ -11,8 +11,8 @@ or min/max choice actually changes sign on it.  One cell walker,
 `_cells`, serves both and the membership search of ``crt``: it walks a
 tuple of operands, resolving them in tuple order on each cell, and
 yields each cell with one affine form per operand.  The decisions walk
-``(lhs, rhs)``; ``crt`` finds both multipliers of a combine in one walk
-over ``(a1 - a2, a2 - a1, generator)``.  This stays
+``(lhs, rhs)``; ``crt`` finds both multipliers of a pair of arms in one
+walk over ``(a1 - a2, a2 - a1, generator)``.  This stays
 polynomial-sized on the large shared terms produced by gluing, where an
 up-front lattice normal form would explode.
 

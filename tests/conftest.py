@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import mvsynth as mv
+from mvsynth.cli import description_from_obj
 
 
 def grid_points(arity: int, denominator: int):
@@ -186,10 +187,9 @@ def build_corpus(seed: int = 20240811, n_random: int = 25, max_groups: int = 8):
     """Curated descriptions plus seeded random ones; >= 30 total.
 
     Random instances whose region analysis produces more than
-    ``max_groups`` ordering groups are skipped: the glued term's printed
-    size grows with the group count (polynomially, through the balanced
-    combine tree, but with a large factor per level), and the corpus must
-    stay at desk scale.  Selection is deterministic given the seed.
+    ``max_groups`` ordering groups are skipped: region analysis and the
+    pair walks of the gluing grow with the group count, and the corpus
+    must stay at desk scale.  Selection is deterministic given the seed.
     """
     rng = random.Random(seed)
     corpus = list(curated_corpus())
@@ -206,14 +206,30 @@ def build_corpus(seed: int = 20240811, n_random: int = 25, max_groups: int = 8):
 
 
 def membership_heavy_description():
-    """A 2D description whose gluing needs multipliers up to 4; used to
-    exercise the cap-exceeded path and nontrivial membership bounds.
+    """A 2D description with 8 region groups, whose paper-formula halving
+    fold needed multipliers up to 3; its 3 arms glue with multiplier 1.
     (Found by seed scan; regenerated deterministically.)"""
     rng = random.Random(90000 + 41)
     arity = rng.choice([1, 2])
     n_forms = rng.choice([3, 4])
     assert (arity, n_forms) == (2, 4)
     return random_description(rng, arity, n_forms)
+
+
+MULTIPLIER_HEAVY_JSON = {"vars": 2, "expr": {"min": [{"max": [{"max": [{"affine": {"constant": -1, "coeffs": [2, 5]}}, {"max": [{"affine": {"constant": -3, "coeffs": [0, 5]}}, {"affine": {"constant": 0, "coeffs": [-2, 4]}}, {"affine": {"constant": 1, "coeffs": [-1, -2]}}]}]}, {"affine": {"constant": 0, "coeffs": [0, 0]}}]}, {"affine": {"constant": 1, "coeffs": [0, 0]}}]}}
+
+
+def multiplier_heavy_description():
+    """A 2D description whose gluing needs a multiplier above 1: its 17
+    region groups merge into 3 arms, and the largest multiplier is 2.
+
+    By the triangle inequality h_p - h_q is at most an ordering's
+    generator whenever p precedes q in that ordering, so a pair of groups
+    needs m > 1 only when the order of their selected constituents is
+    reversed in both orderings, or after merging; random draws almost
+    never give that.  Used for the cap-exceeded path and nontrivial
+    membership bounds."""
+    return description_from_obj(MULTIPLIER_HEAVY_JSON)[1]
 
 
 def description_to_json(description: mv.PwlExpr) -> dict:

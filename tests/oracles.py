@@ -44,6 +44,14 @@ inherit its parent's point solves the uniform-slack interior-point LP,
 which prunes it when its interior is empty.  The library must list the
 same sign vectors in the same order, with points strictly inside both
 cells.
+
+``combine_pair_paper`` and ``chinese_glue_halving`` are the paper's
+constructive Chinese-remainder fold as ``mvsynth.crt`` shipped it before
+it glued in one level: each combine instantiates the explicit two-ideal
+formula ``(a1 - a2 - c1) (+) (a2 - a1 - d2) (+) (a1 /\\ a2)``, and the
+pairs are halved recursively into a ceil(log2 n)-deep combine tree.  The
+library's output must be function-equal to theirs, and no larger in
+total over the corpus.
 """
 
 from __future__ import annotations
@@ -53,8 +61,20 @@ from math import gcd, lcm
 from typing import Sequence
 
 from mvsynth import terms
-from mvsynth.crt import DEFAULT_CAP, PrincipalIdeal
-from mvsynth.errors import CapExceededError, DomainError, NotMemberError
+from mvsynth.crt import (
+    DEFAULT_CAP,
+    CombineRecord,
+    PrincipalIdeal,
+    SynthesisTrace,
+    _least_multipliers,
+    intersect_principal,
+)
+from mvsynth.errors import (
+    CapExceededError,
+    DomainError,
+    NotCongruentError,
+    NotMemberError,
+)
 from mvsynth.geometry import (
     SIGN_GE,
     SIGN_LE,
@@ -86,7 +106,15 @@ from mvsynth.pwl import (
     pwl_arity,
     pwl_leaves,
 )
-from mvsynth.terms import Rational, Term, eval_term, iterate_oplus
+from mvsynth.terms import (
+    Rational,
+    Term,
+    eval_term,
+    iterate_oplus,
+    ominus,
+    oplus,
+    wedge,
+)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -908,3 +936,87 @@ def enumerate_cells_lp(
 
     walk(0, base, None)
     return cells
+
+
+def combine_pair_paper(
+    a1: Term,
+    a2: Term,
+    ideal1: PrincipalIdeal,
+    ideal2: PrincipalIdeal,
+    cap: int = DEFAULT_CAP,
+    trace: SynthesisTrace | None = None,
+) -> Term:
+    """Glue two terms congruent modulo the joined ideal into one term
+    congruent to a1 modulo ideal1 and to a2 modulo ideal2.
+
+    Requires both truncated differences of a1 and a2 to be members of
+    the ideal generated by generator1 (+) generator2; otherwise raises
+    `NotCongruentError` with a witness point.  It finds both multipliers
+    of a combine in one walk, over the cells of the operand tuple
+    ``(a1 - a2, a2 - a1, generator1 (+) generator2)``: the second
+    difference splits no cell, since its only sign test, the sign of
+    a1 - a2, is settled by the first.  A failure of a1 - a2 wins over
+    one of a2 - a1, as with two separate `membership_bound` calls in
+    that order.
+    """
+    if ideal1.arity != ideal2.arity:
+        raise DomainError("ideal arity mismatch")
+    join = PrincipalIdeal(oplus(ideal1.generator, ideal2.generator), ideal1.arity)
+    try:
+        m1, m2 = _least_multipliers((ominus(a1, a2), ominus(a2, a1)), join, cap)
+    except NotMemberError as ex:
+        raise NotCongruentError(
+            "sides differ where the joined ideal's generator vanishes",
+            ex.witness,
+        ) from ex
+    c1 = iterate_oplus(m1, ideal1.generator)
+    d2 = iterate_oplus(m2, ideal2.generator)
+    glued = oplus(
+        oplus(ominus(ominus(a1, a2), c1), ominus(ominus(a2, a1), d2)),
+        wedge(a1, a2),
+    )
+    if trace is not None:
+        trace.combines.append(
+            CombineRecord(a1, a2, ideal1, ideal2, glued, m1, m2)
+        )
+    return glued
+
+
+def chinese_glue_halving(
+    pairs: Sequence[tuple[Term, PrincipalIdeal]],
+    cap: int = DEFAULT_CAP,
+    trace: SynthesisTrace | None = None,
+) -> Term:
+    """Glue (term, ideal) pairs into one term congruent to every input
+    term modulo its ideal.
+
+    The pairs are halved recursively, the left block taking the extra
+    pair, and the two blocks' results are joined with `combine_pair_paper`
+    and `intersect_principal`.  Any bracketing is sound (the ideal
+    lattice of an MV-algebra is distributive); halving keeps the combine
+    tree ceil(log2 n) deep, so the glued term is polynomial in n where a
+    left fold, copying the accumulated term three times per pair, is
+    exponential.  Up to three pairs glue exactly as a left fold.
+
+    A congruence failure re-raises the `NotCongruentError` with ``index``
+    set to the 1-based position of the first pair of the right block of
+    the failing combine.
+    """
+    items = list(pairs)
+    if not items:
+        raise DomainError("at least one (term, ideal) pair is required")
+
+    def glue(lo: int, hi: int) -> tuple[Term, PrincipalIdeal]:
+        if hi - lo == 1:
+            return items[lo]
+        mid = lo + (hi - lo + 1) // 2
+        left, left_ideal = glue(lo, mid)
+        right, right_ideal = glue(mid, hi)
+        try:
+            term = combine_pair_paper(left, right, left_ideal, right_ideal, cap, trace)
+        except NotCongruentError as ex:
+            ex.index = mid + 1
+            raise
+        return term, intersect_principal(left_ideal, right_ideal)
+
+    return glue(0, len(items))[0]

@@ -7,7 +7,7 @@ import pytest
 
 import mvsynth as mv
 from mvsynth.cli import main
-from conftest import description_to_json, membership_heavy_description
+from conftest import description_to_json, multiplier_heavy_description
 
 F = Fraction
 
@@ -149,14 +149,17 @@ def test_synth_missing_file(capsys, tmp_path):
 
 
 def test_synth_cap_exceeded(capsys, tmp_path):
-    # this description needs membership multipliers above 1, so a cap of
-    # 1 aborts the search
-    doc = description_to_json(membership_heavy_description())
+    # this description needs a membership multiplier of 2, so a cap of 1
+    # aborts the search and the default cap glues it
+    doc = description_to_json(multiplier_heavy_description())
     path = tmp_path / "heavy.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, "synth", "--input", str(path), "--cap", "1")
     assert code == 4
     assert "cap" in err
+    code, out, err = run(capsys, "synth", "--input", str(path), "--stats")
+    assert code == 0 and out
+    assert "max_bound=2" in err
 
 
 ONE_GROUP_JSON = {"vars": 1, "expr": {"affine": {"constant": 0, "coeffs": [1]}}}

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,10 @@ from conftest import (
     curated_corpus,
     grid_points,
     membership_heavy_description,
+    multiplier_heavy_description,
     random_term,
 )
-from oracles import membership_bound_doubling
+from oracles import chinese_glue_halving, membership_bound_doubling
 
 F = Fraction
 X = mv.var(1)
@@ -101,11 +103,19 @@ def test_membership_cap_bounds_the_least_multiplier():
 
 
 @pytest.fixture(scope="module")
-def corpus_traces():
-    """(term, trace) of every acceptance-corpus entry, synthesized."""
-    entries = build_corpus() + [("membership-heavy", membership_heavy_description())]
+def corpus_entries():
+    """The acceptance corpus and the multiplier-heavy input."""
+    return build_corpus() + [
+        ("membership-heavy", membership_heavy_description()),
+        ("multiplier-heavy", multiplier_heavy_description()),
+    ]
+
+
+@pytest.fixture(scope="module")
+def corpus_traces(corpus_entries):
+    """(term, trace) of every entry of ``corpus_entries``, synthesized."""
     out = []
-    for _, description in entries:
+    for _, description in corpus_entries:
         trace = mv.SynthesisTrace()
         out.append((mv.synthesize_crt(description, trace=trace), trace))
     return out
@@ -113,8 +123,8 @@ def corpus_traces():
 
 @pytest.fixture(scope="module")
 def corpus_memberships(corpus_traces):
-    """(element, joined ideal, multiplier) of every combine when the
-    acceptance corpus is synthesized."""
+    """(element, joined ideal, multiplier) of every pair check when the
+    acceptance corpus and the multiplier-heavy input are synthesized."""
     out = []
     for _, trace in corpus_traces:
         for r in trace.combines:
@@ -129,8 +139,8 @@ def corpus_memberships(corpus_traces):
 
 
 def test_corpus_combines_match_separate_membership_calls(corpus_memberships):
-    # Both multipliers of a combine come from one walk; each must be the
-    # one membership_bound finds alone.
+    # Both multipliers of a pair check come from one walk; each must be
+    # the one membership_bound finds alone.
     for element, ideal, m in corpus_memberships:
         assert mv.membership_bound(element, ideal) == m
 
@@ -190,8 +200,9 @@ def test_intersect_zero_set_is_union_of_zero_sets():
 
 def test_combine_pair_collapses_when_equal():
     ideal = mv.PrincipalIdeal(mv.otimes(X, X), 1)
-    out = mv.combine_pair(X, X, ideal, ideal)
-    assert mv.function_eq(out, mv.leaf(mv.unit_form(1, 1)), 1)
+    trace = mv.SynthesisTrace()
+    assert mv.combine_pair(X, X, ideal, mv.PrincipalIdeal(X, 1), trace=trace) is X
+    assert trace.combines == []
 
 
 def test_combine_pair_worked_example():
@@ -298,7 +309,12 @@ def test_combine_pair_matches_separate_calls_on_random_pairs():
         cap = rng.choice([1, 2, 3, mv.DEFAULT_CAP])
         expected, element = _separate_outcome(a1, a2, join, cap)
         trace = mv.SynthesisTrace()
-        if element is None:
+        if a1 is a2:
+            # one arm: no walk, no record, the term itself
+            assert mv.combine_pair(a1, a2, ideal1, ideal2, cap, trace) is a1
+            assert trace.combines == []
+            seen.add("equal")
+        elif element is None:
             mv.combine_pair(a1, a2, ideal1, ideal2, cap, trace)
             record = trace.combines[0]
             assert (record.bound_left, record.bound_right) == expected
@@ -319,7 +335,7 @@ def test_combine_pair_matches_separate_calls_on_random_pairs():
                 seen.add("second refuted")
             assert mv.eval_term(join.generator, w) == 0
             assert mv.eval_term(element, w) > 0
-    assert seen == {"member", "multiple", "cap", "first refuted", "second refuted"}
+    assert seen == {"equal", "member", "multiple", "cap", "first refuted", "second refuted"}
 
 
 def test_chinese_glue_degenerate_cases():
@@ -335,49 +351,101 @@ def test_chinese_glue_degenerate_cases():
         mv.chinese_glue([])
 
 
+def test_chinese_glue_uses_the_least_multipliers():
+    # min(1, 2x) - 0 needs m = 2 in the joined ideal x (+) (x (.) x).  The
+    # arm min(1, 2x) - 2x is 0, so the output is 0; with m = 1 the arm
+    # min(1, 2x) - x stays positive on (0, 1/2], where the generator
+    # x (.) x of the other pair's ideal vanishes.
+    a1, a2 = mv.oplus(X, X), mv.ZERO
+    ideal1, ideal2 = mv.PrincipalIdeal(X, 1), mv.PrincipalIdeal(mv.otimes(X, X), 1)
+    trace = mv.SynthesisTrace()
+    glued = mv.chinese_glue([(a1, ideal1), (a2, ideal2)], trace=trace)
+    record = trace.combines[0]
+    assert (record.bound_left, record.bound_right) == (2, 1)
+    assert mv.function_eq(glued, mv.ZERO, 1)
+    assert mv.membership_bound(mv.dist(glued, a1), ideal1) == 2
+    assert mv.membership_bound(mv.dist(glued, a2), ideal2) == 1
+
+
 def test_chinese_glue_tags_failing_index():
     zero_ideal = mv.PrincipalIdeal(mv.ZERO, 1)
     pairs = [(X, zero_ideal), (X, zero_ideal), (mv.neg(X), zero_ideal)]
     with pytest.raises(mv.NotCongruentError) as info:
         mv.chinese_glue(pairs)
     assert info.value.index == 3
-    # Halving glues ((1, 2), (3, 4)); the failing combine is (3, 4), whose
-    # right block starts at pair 4.
+    # Pairs 1, 2 and 4 merge into the arm X, pair 3 is the arm (-)X; the
+    # failing check (X, (-)X) has its later arm first at pair 3.
     pairs = [(X, zero_ideal), (X, zero_ideal), (mv.neg(X), zero_ideal), (X, zero_ideal)]
+    with pytest.raises(mv.NotCongruentError) as info:
+        mv.chinese_glue(pairs)
+    assert info.value.index == 3
+    # Arms X, Y, (-)X: (X, Y) passes, (X, (-)X) fails, later arm at pair 4.
+    y_ideal = mv.PrincipalIdeal(mv.dist(X, mv.var(2)), 2)
+    pairs = [(X, y_ideal), (X, y_ideal), (mv.var(2), y_ideal), (mv.neg(X), y_ideal)]
     with pytest.raises(mv.NotCongruentError) as info:
         mv.chinese_glue(pairs)
     assert info.value.index == 4
 
 
-def test_chinese_glue_halves(corpus_traces):
-    f = mv.max_of([L(-1, 2), L(1, -2), L(0, 1)])
-    (t1, i1), (t2, i2), (t3, i3) = [(g.term, g.ideal) for g in mv.analyze_regions(f)]
-    left_fold = mv.combine_pair(
-        mv.combine_pair(t1, t2, i1, i2), t3, mv.intersect_principal(i1, i2), i3
-    )
-    assert mv.chinese_glue([(t1, i1), (t2, i2), (t3, i3)]) is left_fold
-
-    groups = next(t.groups for _, t in corpus_traces if len(t.groups) == 4)
-    (t1, i1), (t2, i2), (t3, i3), (t4, i4) = [(g.term, g.ideal) for g in groups]
-    balanced = mv.combine_pair(
-        mv.combine_pair(t1, t2, i1, i2),
-        mv.combine_pair(t3, t4, i3, i4),
-        mv.intersect_principal(i1, i2),
-        mv.intersect_principal(i3, i4),
-    )
-    assert mv.chinese_glue([(g.term, g.ideal) for g in groups]) is balanced
+def _arms(groups):
+    """Each distinct group term with the intersection of its groups'
+    ideals, in order of first occurrence."""
+    arms = {}
+    for g in groups:
+        arms[g.term] = mv.intersect_principal(arms[g.term], g.ideal) if g.term in arms else g.ideal
+    return arms
 
 
-def test_corpus_combine_tree_is_balanced(corpus_traces):
+def test_chinese_glue_merges_by_term(corpus_traces):
+    merged = 0
     for term, trace in corpus_traces:
-        n = len(trace.groups)
-        assert len(trace.combines) == n - 1
-        depth = {id(g.term): 0 for g in trace.groups}
+        arms = _arms(trace.groups)
+        if len(arms) == 1:
+            assert term is trace.groups[0].term and trace.combines == []
+            continue
+        merged += len(arms) < len(trace.groups)
+        # one record per pair of arms, in (s, t) order, on the merged ideals
+        expected = list(combinations(arms.items(), 2))
+        assert len(trace.combines) == len(expected)
+        for r, ((a_s, i_s), (a_t, i_t)) in zip(trace.combines, expected):
+            assert (r.left, r.right, r.left_ideal, r.right_ideal) == (a_s, a_t, i_s, i_t)
+            assert r.result is term
+    assert merged > 0
+
+
+def test_glued_size_is_linear_in_the_arms(corpus_traces):
+    # An arm a - m*G has |a| + m*|G| + m + 4 nodes (the iterate adds m - 1
+    # oplus nodes); each vee adds 6 nodes and its right arm twice, so the
+    # join has at most 2 * sum(|arm| + 3) nodes.
+    for term, trace in corpus_traces:
+        if not trace.combines:
+            continue
+        bound = {}
         for r in trace.combines:
-            assert id(r.left) in depth and id(r.right) in depth
-            depth[id(r.result)] = 1 + max(depth[id(r.left)], depth[id(r.right)])
-        # ceil(log2 n) levels
-        assert depth[id(term)] == (n - 1).bit_length()
+            bound[r.left] = max(bound.get(r.left, 1), r.bound_left)
+            bound[r.right] = max(bound.get(r.right, 1), r.bound_right)
+        size = mv.term_node_count
+        total = sum(
+            size(a) + bound[a] * (size(ideal.generator) + 1) + 7
+            for a, ideal in _arms(trace.groups).items()
+        )
+        assert size(term) <= 2 * total
+
+
+def test_glue_matches_paper_reference(corpus_entries, corpus_traces):
+    # The paper's formula glued by halving, and the one-level join, are
+    # both the described function; the join is no larger in total.
+    reference_total = glued_total = 0
+    for (name, description), (term, trace) in zip(corpus_entries, corpus_traces):
+        arity = mv.pwl_arity(description)
+        pairs = [(g.term, g.ideal) for g in trace.groups]
+        reference = chinese_glue_halving(pairs)
+        assert mv.chinese_glue(pairs) is term
+        assert mv.function_eq(reference, description, arity), name
+        assert mv.function_eq(term, description, arity), name
+        reference_total += mv.term_node_count(reference)
+        glued_total += mv.term_node_count(term)
+    assert glued_total <= reference_total
 
 
 def test_chinese_glue_three_ideals_congruences():
