@@ -55,6 +55,7 @@ from .pwl import (
     _cells,
     _excess,
     _expr_children,
+    _lemma_scope,
     _resolve_at,
     function_eq,
     function_leq,
@@ -456,38 +457,53 @@ def synthesize_crt(
 ) -> Term:
     """Glued synthesis: region analysis, then `chinese_glue` over the
     groups' (term, ideal) pairs, then a mandatory exact certificate
-    against the description."""
-    arity = pwl_arity(description)
-    groups = analyze_regions(description)
-    if trace is not None:
-        trace.groups = list(groups)
-    pairs = [(group.term, group.ideal) for group in groups]
-    result = chinese_glue(pairs, cap=cap, trace=trace)
-    verdict = function_eq(result, description, arity)
-    if not verdict:
-        raise CertificationError(
-            "glued term disagrees with the description", verdict.witness
-        )
-    return result
+    against the description.
+
+    Trust base: the `linear_term` certificates proved in this same call.
+    Each proves a constituent term equal to the clamp of its form, and
+    the cell walks of the call (pair walks and the final certificate)
+    take it as a lemma, resolving that term as clamp(g) with at most two
+    sign tests instead of walking its syntax.  So the final certificate
+    is a complete exact proof given those certificates.  Least
+    multipliers are unique, so the lemmas change no output; no lemma
+    outlives the call."""
+    with _lemma_scope():
+        arity = pwl_arity(description)
+        groups = analyze_regions(description)
+        if trace is not None:
+            trace.groups = list(groups)
+        pairs = [(group.term, group.ideal) for group in groups]
+        result = chinese_glue(pairs, cap=cap, trace=trace)
+        verdict = function_eq(result, description, arity)
+        if not verdict:
+            raise CertificationError(
+                "glued term disagrees with the description", verdict.witness
+            )
+        return result
 
 
 def synthesize_direct(description: PwlExpr) -> Term:
     """Structural synthesis: clamp every leaf via `linear_term` and fold
     the lattice with wedge/vee.  Sound because clamping commutes with
     min/max and the description's range check makes the outer clamp a
-    no-op; certified exactly before returning."""
-    arity = pwl_arity(description)
-    _check_range(description, arity)
+    no-op; certified exactly before returning.
+
+    Trust base, as for `synthesize_crt`: the `linear_term` certificates
+    proved in this same call, which the final certificate takes as
+    lemmas."""
 
     def step(expr: PwlExpr, parts: list[Term]) -> Term:
         if isinstance(expr, Leaf):
             return linear_term(expr.form)
         return reduce(wedge if isinstance(expr, MinOf) else vee, parts)
 
-    result = _fold(description, step, _expr_children)
-    verdict = function_eq(result, description, arity)
-    if not verdict:
-        raise CertificationError(
-            "structural term disagrees with the description", verdict.witness
-        )
-    return result
+    with _lemma_scope():
+        arity = pwl_arity(description)
+        _check_range(description, arity)
+        result = _fold(description, step, _expr_children)
+        verdict = function_eq(result, description, arity)
+        if not verdict:
+            raise CertificationError(
+                "structural term disagrees with the description", verdict.witness
+            )
+        return result

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .errors import CertificationError, DomainError
 from .geometry import AffineForm
-from .pwl import function_eq, truncate_affine
+from .pwl import _record_lemma, function_eq, truncate_affine
 from .terms import Term, ZERO, ONE, neg, oplus, otimes, var
 
 _MEMO: dict[tuple, Term] = {}
@@ -27,7 +27,10 @@ def linear_term(form: AffineForm) -> Term:
 
     Requires integer constant and coefficients.  The output is checked
     against `truncate_affine` before being returned; a failure would be a
-    construction bug, reported as `CertificationError`.
+    construction bug, reported as `CertificationError`.  Inside a
+    synthesis the certified equality is recorded as a lemma for that
+    synthesis' cell walks (``pwl._record_lemma``); outside one nothing
+    is recorded.
     """
     if form.arity < 1:
         raise DomainError("affine form must have arity >= 1")
@@ -41,6 +44,7 @@ def linear_term(form: AffineForm) -> Term:
         raise CertificationError(
             "constructed term disagrees with the clamped form", verdict.witness
         )
+    _record_lemma(term, (c0, *coeffs))
     return term
 
 

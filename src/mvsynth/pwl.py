@@ -16,6 +16,16 @@ walk over ``(a1 - a2, a2 - a1, generator)``.  This stays
 polynomial-sized on the large shared terms produced by gluing, where an
 up-front lattice normal form would explode.
 
+During a synthesis the walker also uses lemmas: each `linear_term`
+certified in the same call proves its term equal to median(0, g, 1), so
+the walker resolves that term node as 0, 1 or g with at most two sign
+tests (g against 0, then g - 1) instead of walking its syntax, whose
+partial-sum clamps are sign tests that can split a cell where the clamp
+of g does not.  The lemma map lives in a context variable that only a
+synthesis call sets (`_lemma_scope`), so the public decisions outside a
+synthesis never see a lemma, and no lemma result enters the shared cube
+cache.
+
 The procedure runs on integers.  A term function is piecewise linear
 with integer coefficients (McNaughton 1951) and a description's leaves
 have one common denominator, so every affine form it meets is a tuple of
@@ -31,6 +41,8 @@ against both.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -273,18 +285,66 @@ class _CellCtx:
 # Cube-wide resolutions of interned term nodes: arity -> {node id: int
 # form}.  Terms are immortal (the intern table keeps them alive) so
 # id-keyed caching is safe; PwlExpr nodes are not interned and must not be
-# cached across calls.
+# cached across calls.  An entry is made only when every sign test below
+# the node was settled by the cube's box bounds, so a hit skips no test
+# that could split a cell: the cache changes no cell and no witness.  A
+# node resolved by a lemma (below) never enters it, nor do its ancestors:
+# that would let a later decision outside the synthesis skip syntax whose
+# clamps split cells, and so walk other cells and find another witness.
 _TERM_CUBE_CACHE: dict[int, dict[int, tuple[int, ...]]] = {}
 
+# Certified clamp lemmas of the running synthesis, or None outside one:
+# arity -> {id(term): int form g}, each proved by `linear_term` in the
+# same call (the term equals median(0, g, 1) on the cube) and recorded by
+# `_record_lemma`.  Only `_lemma_scope` sets it, so no lemma outlives its
+# synthesis.
+_LEMMAS: ContextVar[dict[int, dict[int, tuple[int, ...]]] | None] = ContextVar(
+    "_LEMMAS", default=None
+)
 
-def _affinize(root, arity: int, ctx: _CellCtx, local: dict, den: int) -> tuple[int, ...]:
+
+@contextmanager
+def _lemma_scope():
+    """Run the body with an empty lemma map of its own."""
+    token = _LEMMAS.set({})
+    try:
+        yield
+    finally:
+        _LEMMAS.reset(token)
+
+
+def _record_lemma(term: Term, g: tuple[int, ...]) -> None:
+    """Record that ``term`` equals median(0, g, 1) on the cube, for the
+    running synthesis; outside one, do nothing."""
+    lemmas = _LEMMAS.get()
+    if lemmas is not None:
+        lemmas.setdefault(len(g) - 1, {})[id(term)] = g
+
+
+def _clamp(g: tuple[int, ...], ctx: _CellCtx) -> tuple[int, ...]:
+    """Int form of median(0, g, 1) on the cell, from at most two sign
+    tests: g against 0, then g - 1 against 0."""
+    if ctx.sign(g)[0] < 0:
+        return (0,) * len(g)
+    if ctx.sign((g[0] - 1, *g[1:]))[0] > 0:
+        return (1,) + (0,) * (len(g) - 1)
+    return g
+
+
+def _affinize(
+    root, arity: int, ctx: _CellCtx, local: dict, den: int, lemmas: dict | None
+) -> tuple[int, ...]:
     """Int form equal to the function of ``root`` on the cell, over 1 for
     a term and over ``den`` for a lattice expression.
 
     Each node is resolved once, with one lookup per child.  Resolutions
     that hold on the whole cube are cached globally (for terms) so
-    repeated cells and repeated calls share the work.  Raises `_Split`
-    when some internal choice changes sign on the cell.
+    repeated cells and repeated calls share the work.  A term node with
+    a lemma in ``lemmas`` ({id(term): g}, or None) is resolved as
+    clamp(g) with at most two sign tests (`_clamp`) instead of walking
+    its syntax; it and its ancestors go to ``local`` only, never to the
+    cube cache.  Raises `_Split` when some internal choice, or a lemma's
+    sign test, changes sign on the cell.
     """
     is_term = isinstance(root, Term)
     children = terms._children if is_term else _expr_children
@@ -294,6 +354,11 @@ def _affinize(root, arity: int, ctx: _CellCtx, local: dict, den: int) -> tuple[i
     if form is None:
         form = local.get(id(root))
     if form is not None:
+        return form
+    if not is_term:
+        lemmas = None
+    elif lemmas and (g := lemmas.get(id(root))) is not None:
+        form = local[id(root)] = _clamp(g, ctx)
         return form
     one = (1,) + (0,) * arity
     # Frames: [node, children last first, their forms so far, all of them
@@ -309,8 +374,11 @@ def _affinize(root, arity: int, ctx: _CellCtx, local: dict, den: int) -> tuple[i
             if form is None:
                 form = local.get(id(kid))
                 if form is None:
-                    stack.append([kid, children(kid)[::-1], [], True])
-                    continue
+                    g = lemmas.get(id(kid)) if lemmas else None
+                    if g is None:
+                        stack.append([kid, children(kid)[::-1], [], True])
+                        continue
+                    form = local[id(kid)] = _clamp(g, ctx)
                 frame[3] = False
             forms.append(form)
             continue
@@ -399,6 +467,10 @@ def _cells(operands: Sequence[FunctionLike], arity: int, region: Polytope | None
     the cost tracks the functions' true piecewise structure rather than
     their syntax size.  Cells come depth first; a consumer may stop early.
 
+    Inside a synthesis, the lemmas of its certified linear terms at this
+    arity are read once here and passed to `_affinize`; outside one
+    there are none.
+
     Every cell carries a strictly interior point, which picks the LP that
     settles a sign.  Only the region's point comes from an LP
     (`interior_point`, once per walk); a split child either keeps its
@@ -414,12 +486,14 @@ def _cells(operands: Sequence[FunctionLike], arity: int, region: Polytope | None
     den = lcm(*dens)
     # Every form is yielded over den; a term's forms are over 1.
     ups = [den if isinstance(obj, Term) else 1 for obj in operands]
+    lemmas = _LEMMAS.get()
+    lemmas = lemmas.get(arity) if lemmas else None
     todo: list[tuple[Polytope, tuple, dict, dict]] = [(region, root, {}, {})]
     while todo:
         piece, point, signs, local = todo.pop()
         ctx = _CellCtx(piece, point, signs)
         try:
-            forms = [_affinize(obj, arity, ctx, local, den) for obj in operands]
+            forms = [_affinize(obj, arity, ctx, local, den, lemmas) for obj in operands]
         except _Split as split:
             # Everything resolved so far holds on both halves (they are
             # subsets of this piece), so the children inherit the work

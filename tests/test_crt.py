@@ -3,13 +3,15 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvsynth as mv
-from mvsynth.crt import _matches_on_zero_set
+from mvsynth import pwl
+from mvsynth.crt import _least_multipliers, _matches_on_zero_set
 from conftest import (
     build_corpus,
     clamp_description,
@@ -617,3 +619,114 @@ def test_matches_on_zero_set_constant_differences():
     assert not _matches_on_zero_set(half, haffs, (1, 2), cell)
     assert _matches_on_zero_set(half, haffs, (2, 1), cell)  # 1 <= x: empty face
     assert not _matches_on_zero_set(mv.affine(F(-1, 4), [1]), haffs, (1, 2), cell)
+
+
+# --- certified clamp lemmas ---------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_synthesis_keeps_traced_stage_boundaries(monkeypatch):
+    # The benchmark's tracer sees the six synthesis stages only through
+    # the module globals it wraps; a stage reached another way goes
+    # missing from its per-layer numbers.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    for description in (dict(curated_corpus())["single-leaf-x1"], multiplier_heavy_description()):
+        tr = tracer.Tracer()
+        tr.install()
+        try:
+            tr.call("synthesize_crt", mv.synthesize_crt, description)
+        finally:
+            tr.uninstall()
+        assert tracer.layer_numbers(tr.spans, len(tr.lp_keys))["missing"] == []
+
+
+def _record_cells(monkeypatch) -> list:
+    """Every cell a walk visits from now on, as its polytope."""
+    cells = []
+
+    class Recorded(pwl._CellCtx):
+        __slots__ = ()
+
+        def __init__(self, polytope, point, signs):
+            cells.append(polytope)
+            super().__init__(polytope, point, signs)
+
+    monkeypatch.setattr(pwl, "_CellCtx", Recorded)
+    return cells
+
+
+def _outcome(elements, ideal):
+    try:
+        return _least_multipliers(elements, ideal, mv.DEFAULT_CAP)
+    except mv.NotMemberError as ex:
+        return "not a member", ex.witness
+
+
+def test_lemma_walks_equal_plain_walks(corpus_entries, corpus_traces, monkeypatch):
+    # Resolving certified linear terms as clamps changes the cells a walk
+    # visits, never the least multipliers or a refutation's witness.
+    pairs = 0
+    for (name, description), (_, trace) in zip(corpus_entries, corpus_traces):
+        arity = mv.pwl_arity(description)
+        checks = []
+        for r in trace.combines:
+            join = mv.PrincipalIdeal(
+                mv.oplus(r.left_ideal.generator, r.right_ideal.generator), arity
+            )
+            elements = (mv.ominus(r.left, r.right), mv.ominus(r.right, r.left))
+            checks.append((elements, join, _outcome(elements, join)))
+        with pwl._lemma_scope():
+            for form in mv.pwl_leaves(description):
+                mv.linear_term(form)
+            assert pwl._LEMMAS.get()[arity], name
+            for (elements, join, plain), r in zip(checks, trace.combines):
+                assert plain == [r.bound_left, r.bound_right], name
+                assert _outcome(elements, join) == plain, name
+                pairs += 1
+    assert pairs > 20
+
+    description = membership_heavy_description()
+    arity = mv.pwl_arity(description)
+    glued = mv.synthesize_crt(description)
+    cells = _record_cells(monkeypatch)
+    plain = mv.function_eq(glued, description, arity)
+    plain_cells = len(cells)
+    with pwl._lemma_scope():
+        for form in mv.pwl_leaves(description):
+            mv.linear_term(form)
+        cells.clear()
+        lemma = mv.function_eq(glued, description, arity)
+    assert plain == lemma
+    assert lemma
+    assert len(cells) < plain_cells
+
+
+def test_public_decisions_see_no_lemmas(corpus_entries, corpus_traces, monkeypatch):
+    # A synthesis leaves nothing behind that changes a later decision: the
+    # same call walks the same cells and finds the same witness after it.
+    cells = _record_cells(monkeypatch)
+    refuted = 0
+    for (name, description), (glued, _) in zip(corpus_entries, corpus_traces):
+        arity = mv.pwl_arity(description)
+        half = mv.leaf(mv.const_form(arity, F(1, 2)))
+        runs = []
+        pwl._TERM_CUBE_CACHE.clear()
+        for _ in range(2):
+            cells.clear()
+            verdict = mv.function_leq(glued, half, arity)
+            runs.append((verdict.holds, verdict.witness, len(cells)))
+            assert mv.synthesize_crt(description) is glued
+            assert pwl._LEMMAS.get() is None
+        assert runs[0] == runs[1], name
+        refuted += not runs[0][0]
+    assert refuted > 25
+
+    for synthesize in (mv.synthesize_crt, mv.synthesize_direct):
+        with pytest.raises(mv.InvalidDescriptionError):
+            synthesize(L(0, 2))
+        assert pwl._LEMMAS.get() is None
+    mv.linear_term(mv.affine(-1, [2, 3]))
+    assert pwl._LEMMAS.get() is None
