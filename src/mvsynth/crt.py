@@ -5,8 +5,10 @@ the same function:
 
 1. `analyze_regions` splits the cube into sign cells of the constituent
    forms, groups the cells by the induced ordering of the clamped
-   constituents, verifies cell by cell which constituent the function
-   equals on each group, and attaches the group's difference ideal.
+   constituents, and attaches the group's difference ideal.  The
+   description's own min/max tree picks the constituent it equals on
+   the ideal's whole zero set, which the range check proves; LPs only
+   choose the lowest-index constituent equal to that pick there.
 2. `chinese_glue` glues the per-group constituent terms in one level:
    groups with the same term merge into one arm (intersecting their
    ideals), one walk per pair of arms s < t finds the least multipliers
@@ -93,10 +95,11 @@ class RegionGroup:
     """Cells sharing one ordering of the clamped constituents.
 
     ordering: 1-based constituent indices, ascending by clamped value on
-    every member cell (ties broken by index).  selected: the constituent
-    whose clamp equals the described function on every member cell
-    (verified, not assumed).  term: the certified `linear_term` of the
-    selected constituent.
+    every member cell (ties broken by index).  selected: the
+    lowest-index constituent whose clamp equals the described function
+    on the whole zero set of the group's ideal; the lattice pick
+    (`_lattice_pick`) does, by proof.  term: the certified `linear_term`
+    of the selected constituent.
     """
 
     ordering: tuple[int, ...]
@@ -375,16 +378,45 @@ def _matches_on_zero_set(
     return lp_optimize(diff, face, "min").optimum >= 0
 
 
+def _lattice_pick(
+    description: PwlExpr, constituents: list[AffineForm], ordering
+) -> int:
+    """The constituent that the description's own min/max tree picks on
+    the zero set of the ordering's ideal: a min node takes its child
+    earliest in the ordering, a max node its child latest.
+
+    Proof that the pick's clamp equals the description on that whole
+    zero set.  Let h_j = median(0, g_j, 1).  Where the ideal's generator
+    vanishes, the h_j ascend along the ordering.  Clamping commutes with
+    min and max, so the clamp of the description is the same tree over
+    the h_j, and the range check has proved the description equal to
+    its clamp.  On the zero set a min node's earliest child is at most
+    every other child, so it is their min; a max node's latest child is
+    their max.  By induction the tree equals h of the pick there.
+    """
+    rank = {constituents[j - 1]: r for r, j in enumerate(ordering)}
+
+    def step(node: PwlExpr, ranks: list[int]) -> int:
+        if isinstance(node, Leaf):
+            return rank[node.form]
+        return min(ranks) if isinstance(node, MinOf) else max(ranks)
+
+    return ordering[_fold(description, step, _expr_children)]
+
+
 def analyze_regions(description: PwlExpr) -> list[RegionGroup]:
     """Decompose the cube into ordering groups for a valid description.
 
     Checks the [0, 1] range first; then enumerates the sign cells of the
-    constituents, their pairwise differences, and their 1-shifts; groups
-    cells by the clamped-constituent ordering at the cell's interior
-    point; and selects for each group the first constituent whose clamp
-    is verified equal to the description on the *whole zero set* of the
-    group's ideal (every member cell, and every zero-set face the ideal
-    has inside other cells; gluing congruences need the faces too).
+    constituents, their pairwise differences, and their 1-shifts; and
+    groups cells by the clamped-constituent ordering at the cell's
+    interior point.  The clamp of each group's `_lattice_pick` equals
+    the description on the *whole zero set* of the group's ideal (every
+    member cell, and every zero-set face the ideal has inside other
+    cells; gluing congruences need the faces too), by the range check.
+    The group selects the lowest-index constituent equal to it there, so
+    groups equal there share one arm: only constituents whose clamp ties
+    the pick's at the base point are LP-tested (`_matches_on_zero_set`).
     """
     arity = pwl_arity(description)
     _check_range(description, arity)
@@ -405,43 +437,31 @@ def analyze_regions(description: PwlExpr) -> list[RegionGroup]:
     grouped: dict[tuple[int, ...], list] = {}
     for cell in cells:
         haffs = [_clamp_on_cell(g, cell.point, arity) for g in constituents]
-        faff = _resolve_at(description, cell.point)
-        cell_data.append((cell, faff, haffs))
+        cell_data.append((cell, _resolve_at(description, cell.point), haffs))
         values = [h.evaluate(cell.point) for h in haffs]
         ordering = tuple(
             sorted(range(1, k + 1), key=lambda j: (values[j - 1], j))
         )
-        grouped.setdefault(ordering, []).append((cell, faff))
+        grouped.setdefault(ordering, []).append(cell)
 
     constituent_terms = [linear_term(g) for g in constituents]
     groups: list[RegionGroup] = []
     for ordering, members in grouped.items():
-        base, base_faff = members[0]
-        base_point = base.point
-        value = base_faff.evaluate(base_point)
-        candidates = [
-            j
-            for j in range(1, k + 1)
-            if clamp01(constituents[j - 1].evaluate(base_point)) == value
-        ]
-        selected = None
-        for j in candidates:
-            if all(
+        selected = pick = _lattice_pick(description, constituents, ordering)
+        base_point = members[0].point
+        value = clamp01(constituents[pick - 1].evaluate(base_point))
+        for j in range(1, pick):
+            if clamp01(constituents[j - 1].evaluate(base_point)) == value and all(
                 _matches_on_zero_set(faff - haffs[j - 1], haffs, ordering, cell)
                 for cell, faff, haffs in cell_data
             ):
                 selected = j
                 break
-        if selected is None:
-            raise InvalidDescriptionError(
-                f"no constituent matches the function across region {ordering}",
-                base_point,
-            )
         groups.append(
             RegionGroup(
                 ordering,
-                tuple(cell.polytope for cell, _ in members),
-                tuple(cell.point for cell, _ in members),
+                tuple(cell.polytope for cell in members),
+                tuple(cell.point for cell in members),
                 selected,
                 ideal_for_order(ordering, constituent_terms, arity),
                 constituent_terms[selected - 1],

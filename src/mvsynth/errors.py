@@ -26,7 +26,8 @@ class DescriptionError(MvSynthError):
 
 class InvalidDescriptionError(MvSynthError):
     """Description parses but does not denote a valid input function:
-    range outside [0, 1], or a region on which no constituent matches."""
+    its range leaves [0, 1].  (Within [0, 1] a constituent always matches
+    on every region: the description's min/max tree picks it.)"""
 
     def __init__(self, message: str, witness=None):
         super().__init__(message)

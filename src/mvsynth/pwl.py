@@ -393,8 +393,6 @@ def _affinize(
             child = forms[0]
             form = (1 - child[0], *(-v for v in child[1:]))
         elif isinstance(node, terms.Var):
-            if node.index > arity:
-                raise DomainError("term variable index exceeds arity")
             form = tuple(int(i == node.index) for i in range(arity + 1))
         elif isinstance(node, terms.Zero):
             form = (0,) * (arity + 1)

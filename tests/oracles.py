@@ -52,6 +52,13 @@ formula ``(a1 - a2 - c1) (+) (a2 - a1 - d2) (+) (a1 /\\ a2)``, and the
 pairs are halved recursively into a ceil(log2 n)-deep combine tree.  The
 library's output must be function-equal to theirs, and no larger in
 total over the corpus.
+
+``select_constituent_lp`` is how ``mvsynth.crt.analyze_regions`` chose
+each ordering group's constituent before it took the description's own
+min/max-tree pick: on the same sign cells, it LP-tests every constituent
+whose clamp equals the function at the group's base point, in index
+order, on every cell's zero-set face, and takes the first that passes.
+The library must select the same constituent for every group.
 """
 
 from __future__ import annotations
@@ -66,12 +73,15 @@ from mvsynth.crt import (
     CombineRecord,
     PrincipalIdeal,
     SynthesisTrace,
+    _clamp_on_cell,
     _least_multipliers,
+    _matches_on_zero_set,
     intersect_principal,
 )
 from mvsynth.errors import (
     CapExceededError,
     DomainError,
+    InvalidDescriptionError,
     NotCongruentError,
     NotMemberError,
 )
@@ -82,6 +92,7 @@ from mvsynth.geometry import (
     Cell,
     CellDecomposition,
     Polytope,
+    clamp01,
     const_form,
     cube,
     dedup_canonical_forms,
@@ -1020,3 +1031,62 @@ def chinese_glue_halving(
         return term, intersect_principal(left_ideal, right_ideal)
 
     return glue(0, len(items))[0]
+
+
+def select_constituent_lp(description: PwlExpr) -> dict[tuple[int, ...], int]:
+    """The selected constituent of every ordering group, in the groups'
+    order, by the LP search: the first constituent whose clamp is
+    verified equal to the description on the whole zero set of the
+    group's ideal (every member cell, and every zero-set face the ideal
+    has inside other cells)."""
+    arity = pwl_arity(description)
+    constituents = pwl_leaves(description)
+    k = len(constituents)
+
+    collected: list[AffineForm] = []
+    for i, g in enumerate(constituents):
+        for h in constituents[i + 1:]:
+            collected.append(g - h)
+        if not g.is_constant:
+            collected.append(g)
+            collected.append(g.shifted(-1))
+    forms = dedup_canonical_forms(collected)
+    cells = enumerate_cells(forms, arity)
+
+    cell_data = []  # (cell, f's affine form, clamped constituent forms)
+    grouped: dict[tuple[int, ...], list] = {}
+    for cell in cells:
+        haffs = [_clamp_on_cell(g, cell.point, arity) for g in constituents]
+        faff = _resolve_at(description, cell.point)
+        cell_data.append((cell, faff, haffs))
+        values = [h.evaluate(cell.point) for h in haffs]
+        ordering = tuple(
+            sorted(range(1, k + 1), key=lambda j: (values[j - 1], j))
+        )
+        grouped.setdefault(ordering, []).append((cell, faff))
+
+    selections: dict[tuple[int, ...], int] = {}
+    for ordering, members in grouped.items():
+        base, base_faff = members[0]
+        base_point = base.point
+        value = base_faff.evaluate(base_point)
+        candidates = [
+            j
+            for j in range(1, k + 1)
+            if clamp01(constituents[j - 1].evaluate(base_point)) == value
+        ]
+        selected = None
+        for j in candidates:
+            if all(
+                _matches_on_zero_set(faff - haffs[j - 1], haffs, ordering, cell)
+                for cell, faff, haffs in cell_data
+            ):
+                selected = j
+                break
+        if selected is None:
+            raise InvalidDescriptionError(
+                f"no constituent matches the function across region {ordering}",
+                base_point,
+            )
+        selections[ordering] = selected
+    return selections

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 import mvsynth as mv
 from mvsynth import pwl
-from mvsynth.crt import _least_multipliers, _matches_on_zero_set
+from mvsynth.crt import (
+    _clamp_on_cell,
+    _lattice_pick,
+    _least_multipliers,
+    _matches_on_zero_set,
+)
+from mvsynth.geometry import Cell
 from conftest import (
     build_corpus,
     clamp_description,
@@ -19,9 +25,14 @@ from conftest import (
     grid_points,
     membership_heavy_description,
     multiplier_heavy_description,
+    random_description,
     random_term,
 )
-from oracles import chinese_glue_halving, membership_bound_doubling
+from oracles import (
+    chinese_glue_halving,
+    membership_bound_doubling,
+    select_constituent_lp,
+)
 
 F = Fraction
 X = mv.var(1)
@@ -522,6 +533,44 @@ def test_region_selected_constituent_matches_on_cells():
             target = mv.truncate_affine(constituents[g.selected - 1])
             for cell in g.cells:
                 assert mv.function_eq(description, target, arity, cell), name
+
+
+def test_lattice_pick_matches_and_selection_equals_lp_search(corpus_entries):
+    # The lattice pick's clamp equals the description on the whole zero
+    # set of every group (the premise that needs no LP), and the selected
+    # constituent is still the LP search's: the lowest-index one equal
+    # there.  Clamp-wrapped draws carry constant 0/1 leaves, where ties
+    # come from.
+    rng = random.Random(1717)
+    draws = [
+        (f"draw-n{arity}k{k}-{i}", random_description(rng, arity, k))
+        for arity, ks in ((1, (2, 3, 4, 5)), (2, (2, 3, 4)), (3, (2, 3)))
+        for k in ks
+        for i in range(3)
+    ]
+    for name, description in corpus_entries + draws:
+        arity = mv.pwl_arity(description)
+        constituents = mv.pwl_leaves(description)
+        groups = mv.analyze_regions(description)
+        expected = select_constituent_lp(description)
+        assert [(g.ordering, g.selected) for g in groups] == list(expected.items()), name
+        cell_data = [
+            (
+                Cell((), polytope, point),
+                pwl._resolve_at(description, point),
+                [_clamp_on_cell(g, point, arity) for g in constituents],
+            )
+            for group in groups
+            for polytope, point in zip(group.cells, group.points)
+        ]
+        for group in groups:
+            pick = _lattice_pick(description, constituents, group.ordering)
+            assert group.selected <= pick, (name, group.ordering)
+            for cell, faff, haffs in cell_data:
+                diff = faff - haffs[pick - 1]
+                assert _matches_on_zero_set(diff, haffs, group.ordering, cell), (
+                    name, group.ordering, cell.point,
+                )
 
 
 def test_synthesize_crt_single_leaf():
