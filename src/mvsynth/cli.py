@@ -7,14 +7,22 @@ synth  --input FILE [--mode crt|direct] [--verify] [--stats]
 eval   --term FILE --point "r1,r2,..."
 check  --left FILE --right FILE --vars N
 
+An eval point is comma-separated rationals, each an integer, ``p/q`` or a
+decimal; exponent notation (``1e-3``) is rejected.
+
 Exit codes: 0 success (check: functions equal), 1 check found a
 difference, 2 malformed input (including a file that is not UTF-8 text,
-a description nested too deeply to parse, --cap below 1, or a --output
-path that cannot be written), 3 invalid description / bad evaluation
+a description nested too deeply to parse, --cap below 1, a --output
+path that cannot be written, an eval point in exponent notation, or an
+eval value too long to print), 3 invalid description / bad evaluation
 domain, 4 least membership multiplier exceeds --cap, 5 internal error (a bug, such
 as a failed final certificate; one ``internal error:`` line on stderr,
 never a traceback).  Results go to stdout, diagnostics to stderr; all
 output is deterministic.
+
+``main(argv)`` may be called repeatedly in one process: it returns the
+exit code, builds its parser once (``build_parser`` is cached), and
+raises ``SystemExit(2)`` on a usage error.
 
 Description files are JSON: ``{"vars": n, "expr": NODE}`` where NODE is
 ``{"affine": {"constant": INT, "coeffs": [INT x n]}}``, ``{"min": [NODE,
@@ -25,6 +33,7 @@ unknown keys rejected).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -180,6 +189,14 @@ def _run_synth(args) -> int:
     return EXIT_OK
 
 
+def _coordinate(token: str) -> Fraction:
+    """One eval coordinate: an integer, ``p/q`` or a decimal.  Exponent
+    notation is refused before ``Fraction`` would build ``10**N``."""
+    if "e" in token.lower():
+        raise ValueError(f"exponent notation not accepted: {token!r}")
+    return Fraction(token)
+
+
 def _run_eval(args) -> int:
     try:
         with open(args.term, "r", encoding="utf-8") as fh:
@@ -187,14 +204,18 @@ def _run_eval(args) -> int:
     except (TermSyntaxError, OSError, UnicodeDecodeError) as ex:
         return _fail(f"error: {ex}", EXIT_MALFORMED)
     try:
-        coords = [Fraction(tok) for tok in args.point.split(",")] if args.point else []
+        coords = [_coordinate(tok) for tok in args.point.split(",")] if args.point else []
     except (ValueError, ZeroDivisionError) as ex:
         return _fail(f"error: bad point: {ex}", EXIT_MALFORMED)
     try:
         value = eval_term(term, coords)
     except DomainError as ex:
         return _fail(f"error: {ex}", EXIT_INVALID)
-    print(value)
+    try:
+        text = str(value)
+    except ValueError as ex:  # past the interpreter's int-to-str digit limit
+        return _fail(f"error: cannot print value: {ex}", EXIT_MALFORMED)
+    print(text)
     return EXIT_OK
 
 
@@ -234,7 +255,11 @@ def _run_check(args) -> int:
     return EXIT_DIFFER
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one definition of the command line.  Cached: every ``main``
+    call in a process parses with the same parser, which keeps no state
+    between ``parse_args`` calls."""
     parser = argparse.ArgumentParser(
         prog="mvsynth",
         description="Compile piecewise-linear descriptions on the unit cube "
@@ -278,6 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  May be called repeatedly
+    in one process; the parser is built on the first call only.  A usage
+    error raises ``SystemExit(2)`` (``--help`` raises ``SystemExit(0)``)."""
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)

@@ -1,12 +1,16 @@
 """Command-line interface: exit codes, streams, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import mvsynth as mv
-from mvsynth.cli import main
+from mvsynth.cli import build_parser, main
 from conftest import description_to_json, multiplier_heavy_description
 
 F = Fraction
@@ -213,7 +217,14 @@ def test_eval_not_utf8_is_malformed(capsys, tmp_path):
     assert out == "" and "error:" in err
 
 
-def test_eval_examples(capsys, tmp_path):
+@pytest.fixture()
+def sum_term(tmp_path):
+    path = tmp_path / "sum.term"
+    path.write_text("(oplus (var 1) (var 2))", encoding="utf-8")
+    return str(path)
+
+
+def test_eval_examples(capsys, tmp_path, sum_term):
     term_path = tmp_path / "t.term"
     term_path.write_text("(oplus (var 1) (var 1))", encoding="utf-8")
     code, out, err = run(capsys, "eval", "--term", str(term_path), "--point", "1/3")
@@ -224,6 +235,8 @@ def test_eval_examples(capsys, tmp_path):
     neg_path.write_text("(neg 0)", encoding="utf-8")
     code, out, _ = run(capsys, "eval", "--term", str(neg_path), "--point", "1/2")
     assert (code, out) == (0, "1\n")
+    code, out, _ = run(capsys, "eval", "--term", sum_term, "--point", "0.5,1/8")
+    assert (code, out) == (0, "5/8\n")
 
 
 def test_eval_errors(capsys, tmp_path):
@@ -237,6 +250,36 @@ def test_eval_errors(capsys, tmp_path):
     assert code == 3  # arity mismatch
     code, _, err = run(capsys, "eval", "--term", str(ok), "--point", "a,b")
     assert code == 2
+
+
+# In the cube, outside it, and in upper case: each is refused before
+# Fraction would build 10**5000.
+@pytest.mark.parametrize("point", ["1e-5000,0", "1e5000,0", "0,2.5E-1"])
+def test_eval_exponent_notation_is_a_bad_point(capsys, sum_term, point):
+    code, out, err = run(capsys, "eval", "--term", sum_term, "--point", point)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad point: exponent notation")
+    assert err.count("\n") == 1
+
+
+@pytest.fixture()
+def default_int_digit_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_eval_value_too_long_to_print_is_malformed(capsys, sum_term, default_int_digit_limit):
+    # Each coordinate prints, but their sum has a 4,401-digit denominator.
+    big = 10**2200
+    point = f"1/{big + 1},1/{big + 3}"
+    code, out, err = run(capsys, "eval", "--term", sum_term, "--point", point)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot print value:")
+    assert err.count("\n") == 1
 
 
 def test_check_equal_terms(capsys, tmp_path):
@@ -355,3 +398,81 @@ def test_synth_check_round_trip(capsys, tmp_path):
             str(doc["vars"]),
         )
         assert (code, out) == (0, "EQUAL\n")
+
+
+@pytest.fixture()
+def uncached_parser():
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one ``main`` call; a usage error or
+    --help reads as the ``SystemExit`` code."""
+    try:
+        code = main(argv)
+    except SystemExit as ex:
+        code = ex.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_reuses_one_parser(capsys, tmp_path, abs_file, uncached_parser):
+    term_path = tmp_path / "t.term"
+    term_path.write_text("(oplus (var 1) (var 1))", encoding="utf-8")
+    out_path = str(tmp_path / "out.term")
+    calls = [
+        ["synth", "--input", abs_file, "--stats"],
+        ["synth", "--input", abs_file],
+        ["synth", "--input", abs_file, "--mode", "direct"],
+        ["synth", "--input", abs_file, "--output", out_path],
+        ["synth", "--input", abs_file],
+        ["eval", "--term", str(term_path), "--point", "1/3"],
+        ["check", "--left", str(term_path), "--right", abs_file, "--vars", "1"],
+        ["check", "--left", out_path, "--right", abs_file, "--vars", "1"],
+        ["synth", "--input", abs_file, "--cap"],
+        ["--help"],
+        ["synth", "--input", abs_file, "--stats"],
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    build_parser.cache_clear()
+    reused = [outcome(capsys, argv) for argv in calls]
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+    assert reused == fresh
+
+    stats, plain, direct, to_file, after_file, evaluated, differ, equal, usage, helped, again = reused
+    assert stats[0] == 0 and stats[2].startswith("nodes=")
+    assert plain == (0, stats[1], "")  # no stats line leaks into the next call
+    assert direct[0] == 0 and direct[2] == ""
+    assert to_file == (0, "", "")
+    assert after_file == plain  # nor does --output
+    assert evaluated == (0, "2/3\n", "")
+    assert differ[0] == 1 and differ[1].startswith("DIFFER at ")
+    assert equal == (0, "EQUAL\n", "")
+    assert usage[0] == 2 and usage[1] == ""
+    assert usage[2].startswith("usage: mvsynth synth")
+    assert helped[0] == 0 and helped[1].startswith("usage: mvsynth")
+    assert again == stats
+
+
+def test_import_mvsynth_loads_no_cli_modules():
+    # The command line's parser and JSON reader stay out of a bare import
+    # (-S: what site imports is not the library's doing).
+    src = Path(mv.__file__).resolve().parent.parent
+    probe = (
+        "import sys, mvsynth; "
+        "print([m for m in ('mvsynth.cli', 'argparse', 'json') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"
