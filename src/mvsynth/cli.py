@@ -15,7 +15,9 @@ difference, 2 malformed input (including a file that is not UTF-8 text,
 a description nested too deeply to parse, --cap below 1, a --output
 path that cannot be written, an eval point in exponent notation, or an
 eval value too long to print), 3 invalid description / bad evaluation
-domain, 4 least membership multiplier exceeds --cap, 5 internal error (a bug, such
+domain, 4 a synthesis limit was exceeded: the least membership multiplier
+exceeds --cap, or the term has more than ``MAX_TREE_NODES`` (10,000,000)
+tree nodes and is too large to print, 5 internal error (a bug, such
 as a failed final certificate; one ``internal error:`` line on stderr,
 never a traceback).  Results go to stdout, diagnostics to stderr; all
 output is deterministic.
@@ -69,6 +71,10 @@ EXIT_MALFORMED = 2
 EXIT_INVALID = 3
 EXIT_CAP = 4
 EXIT_INTERNAL = 5
+
+# synth prints a term as a tree, whose size can be exponential in its DAG
+# size; above this many tree nodes it exits 4 instead of printing.
+MAX_TREE_NODES = 10_000_000
 
 
 def _is_int(value) -> bool:
@@ -169,10 +175,17 @@ def _run_synth(args) -> int:
         return _fail(f"error: {ex}", EXIT_CAP)
     # Certification runs inside the synthesizers (--verify documents the
     # default; there is deliberately no way to turn it off here).
+    nodes = term_node_count(term)
+    if nodes > MAX_TREE_NODES:
+        return _fail(
+            f"error: the term has {nodes} tree nodes, more than the "
+            f"{MAX_TREE_NODES} that synth prints",
+            EXIT_CAP,
+        )
     text = print_term(term) + "\n"
     if args.stats:
         print(
-            f"nodes={term_node_count(term)} "
+            f"nodes={nodes} "
             f"oplus_depth={term_oplus_depth(term)} "
             f"regions={len(trace.groups)} "
             f"max_bound={trace.max_bound}",

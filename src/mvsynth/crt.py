@@ -433,16 +433,23 @@ def analyze_regions(description: PwlExpr) -> list[RegionGroup]:
     forms = dedup_canonical_forms(collected)
     cells = enumerate_cells(forms, arity)
 
-    cell_data = []  # (cell, f's affine form, clamped constituent forms)
+    cell_data = []  # (cell, clamped constituent forms)
     grouped: dict[tuple[int, ...], list] = {}
     for cell in cells:
         haffs = [_clamp_on_cell(g, cell.point, arity) for g in constituents]
-        cell_data.append((cell, _resolve_at(description, cell.point), haffs))
+        cell_data.append((cell, haffs))
         values = [h.evaluate(cell.point) for h in haffs]
         ordering = tuple(
             sorted(range(1, k + 1), key=lambda j: (values[j - 1], j))
         )
         grouped.setdefault(ordering, []).append(cell)
+
+    faffs: dict[int, AffineForm] = {}  # f's affine form by cell, on first use
+
+    def faff(n: int) -> AffineForm:
+        if n not in faffs:
+            faffs[n] = _resolve_at(description, cell_data[n][0].point)
+        return faffs[n]
 
     constituent_terms = [linear_term(g) for g in constituents]
     groups: list[RegionGroup] = []
@@ -452,8 +459,8 @@ def analyze_regions(description: PwlExpr) -> list[RegionGroup]:
         value = clamp01(constituents[pick - 1].evaluate(base_point))
         for j in range(1, pick):
             if clamp01(constituents[j - 1].evaluate(base_point)) == value and all(
-                _matches_on_zero_set(faff - haffs[j - 1], haffs, ordering, cell)
-                for cell, faff, haffs in cell_data
+                _matches_on_zero_set(faff(n) - haffs[j - 1], haffs, ordering, cell)
+                for n, (cell, haffs) in enumerate(cell_data)
             ):
                 selected = j
                 break

@@ -1,15 +1,23 @@
 """Terms for truncated integer affine forms.
 
 `linear_term(g)` builds a term whose function is the clamp median(0, g, 1)
-of an integer-coefficient affine form.  The construction descends the
-total coefficient mass on an explicit stack (the mass may exceed Python's
-recursion limit): peeling one occurrence of a variable x off g uses
+of an integer-coefficient affine form, by binary expansion of the
+coefficients on an explicit stack.  When every coefficient is even, g is
+2w or 2w - 1 for the form w with halved coefficients, and with
+h = clamp(w) (for every real w)
+
+    clamp(2w)  =  h oplus h        clamp(2w - 1)  =  h otimes h
+
+Otherwise one unit is peeled off the first odd coefficient, which makes
+it even: peeling an occurrence of a variable x off g uses
 
     clamp(g + x)  =  clamp(g)  oplus  (x otimes clamp(g + 1))
 
 and peeling ``-x`` rewrites ``g - x = (g - 1) + (1 - x)`` to apply the
-same step to the negated literal.  Both identities are checked per output
-by an exact equality certificate, not assumed.
+same step to the negated literal.  A path from the root peels at most
+once per one bit of the coefficients and halves once per bit of the
+largest, so the depth is O(arity * log mass).  All identities are
+checked per output by an exact equality certificate, not assumed.
 """
 
 from __future__ import annotations
@@ -67,8 +75,15 @@ def _build(c0: int, coeffs: tuple[int, ...]) -> Term:
             term = var(coeffs.index(1) + 1)
         elif c0 == 1 and sum(map(abs, coeffs)) == 1 and -1 in coeffs:
             term = neg(var(coeffs.index(-1) + 1))
+        elif all(c % 2 == 0 for c in coeffs):
+            half = ((c0 + (c0 & 1)) // 2, tuple(c // 2 for c in coeffs))
+            if half not in _MEMO:
+                stack.append(half)
+                continue
+            h = _MEMO[half]
+            term = otimes(h, h) if c0 & 1 else oplus(h, h)
         else:
-            i = next(k for k, c in enumerate(coeffs) if c)
+            i = next(k for k, c in enumerate(coeffs) if c & 1)
             step = 1 if coeffs[i] > 0 else -1
             rest = coeffs[:i] + (coeffs[i] - step,) + coeffs[i + 1:]
             base = c0 if step > 0 else c0 - 1

@@ -59,6 +59,14 @@ min/max-tree pick: on the same sign cells, it LP-tests every constituent
 whose clamp equals the function at the group's base point, in index
 order, on every cell's zero-set face, and takes the first that passes.
 The library must select the same constituent for every group.
+
+``linear_term_unit_peel`` is how ``mvsynth.linear.linear_term`` built
+the clamp median(0, g, 1) before it halved even coefficients: it peels
+one unit of coefficient mass per step with
+``clamp(g + x) = clamp(g) (+) (x (.) clamp(g + 1))`` (and ``-x`` through
+``g - x = (g - 1) + (1 - x)``), so its tree roughly doubles with each
+unit of mass.  It keeps its own memo and certifies nothing.  The
+library's term must be function-equal to it and never larger as a tree.
 """
 
 from __future__ import annotations
@@ -118,12 +126,17 @@ from mvsynth.pwl import (
     pwl_leaves,
 )
 from mvsynth.terms import (
+    ONE,
+    ZERO,
     Rational,
     Term,
     eval_term,
     iterate_oplus,
+    neg,
     ominus,
     oplus,
+    otimes,
+    var,
     wedge,
 )
 
@@ -1090,3 +1103,48 @@ def select_constituent_lp(description: PwlExpr) -> dict[tuple[int, ...], int]:
             )
         selections[ordering] = selected
     return selections
+
+
+_UNIT_PEEL_MEMO: dict[tuple, Term] = {}
+
+
+def linear_term_unit_peel(form: AffineForm) -> Term:
+    """A term for median(0, g, 1) of an integer affine form, built by
+    peeling one unit of coefficient mass per step (uncertified)."""
+    return _build_unit_peel(int(form.constant), tuple(int(c) for c in form.coeffs))
+
+
+def _build_unit_peel(c0: int, coeffs: tuple[int, ...]) -> Term:
+    memo = _UNIT_PEEL_MEMO
+    root = (c0, coeffs)
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        c0, coeffs = key
+        lo = c0 + sum(c for c in coeffs if c < 0)
+        hi = c0 + sum(c for c in coeffs if c > 0)
+        if hi <= 0:
+            term = ZERO
+        elif lo >= 1:
+            term = ONE
+        elif c0 == 0 and sum(map(abs, coeffs)) == 1 and 1 in coeffs:
+            term = var(coeffs.index(1) + 1)
+        elif c0 == 1 and sum(map(abs, coeffs)) == 1 and -1 in coeffs:
+            term = neg(var(coeffs.index(-1) + 1))
+        else:
+            i = next(k for k, c in enumerate(coeffs) if c)
+            step = 1 if coeffs[i] > 0 else -1
+            rest = coeffs[:i] + (coeffs[i] - step,) + coeffs[i + 1:]
+            base = c0 if step > 0 else c0 - 1
+            low, high = (base, rest), (base + 1, rest)
+            if low not in memo or high not in memo:
+                stack += (high, low)  # low is built first
+                continue
+            literal = var(i + 1) if step > 0 else neg(var(i + 1))
+            term = oplus(memo[low], otimes(literal, memo[high]))
+        memo[key] = term
+        stack.pop()
+    return memo[root]

@@ -166,6 +166,57 @@ def test_synth_cap_exceeded(capsys, tmp_path):
     assert "max_bound=2" in err
 
 
+def _clamp_json(constant: int, coeffs: list[int]) -> dict:
+    zero = {"affine": {"constant": 0, "coeffs": [0] * len(coeffs)}}
+    one = {"affine": {"constant": 1, "coeffs": [0] * len(coeffs)}}
+    body = {"affine": {"constant": constant, "coeffs": coeffs}}
+    return {"vars": len(coeffs), "expr": {"min": [{"max": [body, zero]}, one]}}
+
+
+def _synth_subprocess(tmp_path, doc: dict) -> subprocess.CompletedProcess:
+    # A separate process with a timeout: a term printed in full would
+    # take minutes and gigabytes.
+    path = tmp_path / "clamp.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = Path(mv.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "mvsynth.cli", "synth", "--input", str(path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+
+
+def test_synth_large_coefficients_print(tmp_path):
+    result = _synth_subprocess(tmp_path, _clamp_json(-15, [30]))
+    assert result.returncode == 0 and result.stderr == ""
+    assert mv.term_node_count(mv.parse_term(result.stdout)) == 594
+
+
+def test_synth_refuses_a_term_too_large_to_print(tmp_path):
+    # clamp(x + 2*10^12 y - 10^12) is a DAG of about 200 nodes whose tree
+    # has about 4*10^16: synth exits 4 before printing anything.
+    result = _synth_subprocess(tmp_path, _clamp_json(-(10**12), [1, 2 * 10**12]))
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "tree nodes" in result.stderr
+
+
+def test_synth_tree_limit_is_inclusive(capsys, abs_file, monkeypatch):
+    import mvsynth.cli as cli
+
+    code, out, _ = run(capsys, "synth", "--input", abs_file)
+    nodes = mv.term_node_count(mv.parse_term(out))
+    monkeypatch.setattr(cli, "MAX_TREE_NODES", nodes)
+    assert run(capsys, "synth", "--input", abs_file) == (0, out, "")
+    monkeypatch.setattr(cli, "MAX_TREE_NODES", nodes - 1)
+    code, out, err = run(capsys, "synth", "--input", abs_file)
+    assert (code, out) == (4, "")
+    assert err == f"error: the term has {nodes} tree nodes, more than the {nodes - 1} that synth prints\n"
+
+
 ONE_GROUP_JSON = {"vars": 1, "expr": {"affine": {"constant": 0, "coeffs": [1]}}}
 
 

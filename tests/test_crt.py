@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvsynth as mv
-from mvsynth import pwl
+from mvsynth import crt, pwl
 from mvsynth.crt import (
     _clamp_on_cell,
     _lattice_pick,
@@ -505,6 +505,30 @@ def test_analyze_regions_min2d():
         point = g.points[0]
         expected = 1 if point[0] <= point[1] else 2
         assert g.selected == expected
+
+
+def test_description_is_resolved_only_by_tie_tests(monkeypatch, corpus_entries):
+    points = []
+    resolve = crt._resolve_at
+
+    def counted(description, point):
+        points.append(point)
+        return resolve(description, point)
+
+    monkeypatch.setattr(crt, "_resolve_at", counted)
+    # min(x1, x2) has no lower-index tie: no group reads the description's
+    # own form, so no cell resolves it.
+    mv.analyze_regions(mv.min_of([L(0, 1, 0), L(0, 0, 1)]))
+    assert points == []
+    # Where ties are tested, each cell resolves it at most once.
+    resolved = 0
+    for name, description in corpus_entries:
+        points.clear()
+        groups = mv.analyze_regions(description)
+        assert len(points) == len(set(points)), name
+        assert len(points) <= sum(len(g.cells) for g in groups), name
+        resolved += len(points)
+    assert resolved > 0  # the corpus has ties: the count is not vacuous
 
 
 def test_analyze_regions_rejects_out_of_range():

@@ -8,7 +8,9 @@ from itertools import product
 import pytest
 
 import mvsynth as mv
+from mvsynth.terms import _fold
 from conftest import grid_points
+from oracles import linear_term_unit_peel
 
 F = Fraction
 
@@ -87,13 +89,65 @@ def _stack_depth() -> int:
 
 
 def test_large_coefficient_mass_needs_no_deep_recursion():
-    # The construction peels one unit of mass per step; mass 300 must
-    # not nest 300 Python calls.
+    # The construction halves the coefficients and peels at most one unit
+    # per odd coefficient between halvings, so mass 10**12 nests a few
+    # dozen steps, and none of them as Python calls.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
-        term = mv.linear_term(mv.affine(0, [300]))
+        term = mv.linear_term(mv.affine(0, [10**12]))
     finally:
         sys.setrecursionlimit(limit)
-    for p in (F(0), F(1, 600), F(1, 300), F(1, 2)):
-        assert mv.eval_term(term, [p]) == min(F(1), 300 * p)
+    for p in (F(0), F(1, 2 * 10**12), F(1, 10**12), F(1, 2)):
+        assert mv.eval_term(term, [p]) == min(F(1), 10**12 * p)
+
+
+def _dag_nodes(term) -> int:
+    nodes = []
+    _fold(term, lambda node, vals: nodes.append(node))
+    return len(nodes)
+
+
+def test_power_of_two_slope_grows_linearly_in_the_mass():
+    # clamp(2^k x - 2^(k-1)) halves k times: its DAG grows by one node per
+    # halving and its tree about doubles, so the tree stays linear in the
+    # mass 2^k; unit peeling doubled it per unit of mass (6,063,840,399
+    # nodes at k = 5).
+    for k in range(1, 11):
+        term = mv.linear_term(mv.affine(-(2 ** (k - 1)), [2**k]))
+        assert _dag_nodes(term) <= k + 3, k
+        assert mv.term_node_count(term) <= 4 * 2**k, k
+    assert mv.term_node_count(mv.linear_term(mv.affine(-5, [10]))) == 62
+    assert mv.term_node_count(mv.linear_term(mv.affine(-15, [30]))) == 594
+
+
+def test_huge_coefficient_keeps_a_small_dag():
+    term = mv.linear_term(mv.affine(-(10**12), [2 * 10**12, 1]))
+    assert _dag_nodes(term) <= 300
+    assert mv.term_node_count(term) > 10**16  # the tree is not printable
+
+
+def _in_range_forms():
+    # Every form whose range over the cube meets [0, 1]: constants from
+    # -(positive mass) to 1 + (negative mass).
+    for arity, bound in ((1, 12), (2, 6), (3, 3)):
+        for coeffs in product(range(-bound, bound + 1), repeat=arity):
+            pos = sum(c for c in coeffs if c > 0)
+            neg = -sum(c for c in coeffs if c < 0)
+            for c0 in range(-pos, neg + 2):
+                yield mv.affine(c0, list(coeffs))
+
+
+def test_never_larger_than_unit_peeling():
+    forms = list(_in_range_forms())
+    assert len(forms) == 4086
+    new_total = old_total = 0
+    for g in forms:
+        term = mv.linear_term(g)
+        new, old = mv.term_node_count(term), mv.term_node_count(linear_term_unit_peel(g))
+        assert new <= old, (g, new, old)
+        verdict = mv.function_eq(term, mv.truncate_affine(g), g.arity)
+        assert verdict, (g, verdict.witness)
+        new_total += new
+        old_total += old
+    assert 5 * new_total < old_total, (new_total, old_total)
