@@ -145,24 +145,21 @@ def ideal_for_order(
     ordered ascending along ``ordering``.
 
     Generator: the truncated sum of h[o1] - h[o2], ..., h[o(k-1)] - h[ok]
-    (truncated differences, left-associated).  A single constituent gives
-    the zero ideal.
+    (truncated differences, left-associated), leaving out the steps that
+    are the term 0.  A single constituent, or no nonzero step, gives the
+    zero ideal.
     """
     k = len(constituent_terms)
     if sorted(ordering) != list(range(1, k + 1)):
         raise DomainError(
             f"ordering {tuple(ordering)} is not a permutation of 1..{k}"
         )
-    if k == 1:
-        return PrincipalIdeal(ZERO, arity)
     steps = [
         ominus(constituent_terms[ordering[i] - 1], constituent_terms[ordering[i + 1] - 1])
         for i in range(k - 1)
     ]
-    gen = steps[0]
-    for s in steps[1:]:
-        gen = oplus(gen, s)
-    return PrincipalIdeal(gen, arity)
+    steps = [s for s in steps if s is not ZERO]
+    return PrincipalIdeal(reduce(oplus, steps) if steps else ZERO, arity)
 
 
 def _least_multipliers(

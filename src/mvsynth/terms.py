@@ -4,7 +4,22 @@ The core connectives are ``0``, ``1``, ``(var i)``, ``(neg t)`` and
 ``(oplus s t)``.  The derived connectives ``otimes`` (strong conjunction),
 ``ominus`` (truncated difference), ``wedge``/``vee`` (lattice meet/join)
 and ``dist`` (symmetric difference) expand into the core at construction
-time.  Evaluation is exact: it runs on integer numerators over the
+time:
+
+    a otimes b = neg(neg a oplus neg b)     a ominus b = neg(neg a oplus b)
+    a vee b    = (a ominus b) oplus b       a wedge b  = neg(neg a vee neg b)
+    dist(a, b) = (a ominus b) oplus (b ominus a)
+
+The expansions fold by exact MV-algebra identities, so they never build
+a double negation or a negated constant: each negation they apply to an
+operand folds neg(neg t) = t, neg 0 = 1 and neg 1 = 0, and constant
+operands fold (a otimes 1 = a, a otimes 0 = 0, a ominus 0 = a,
+0 ominus b = a ominus 1 = 0, 1 ominus b = neg b, a vee 0 = a,
+a vee 1 = 1, and the same with the operands of otimes and vee swapped).
+The core factories `neg` and `oplus` build exactly the node asked for,
+so core text parses and prints back unchanged.
+
+Evaluation is exact: it runs on integer numerators over the
 point's common denominator and returns a `fractions.Fraction`; on the
 unit cube a term always evaluates into [0, 1].
 
@@ -122,20 +137,45 @@ def oplus(left: Term, right: Term) -> Term:
     return _intern(("o", id(left), id(right)), Oplus, left, right)
 
 
+def _neg(t: Term) -> Term:
+    """Negation that folds ``neg(neg(u)) = u`` and swaps the constants."""
+    if isinstance(t, Neg):
+        return t.child
+    if t is ZERO:
+        return ONE
+    if t is ONE:
+        return ZERO
+    return neg(t)
+
+
 def otimes(a: Term, b: Term) -> Term:
-    return neg(oplus(neg(a), neg(b)))
+    if a is ONE or b is ZERO:
+        return b
+    if b is ONE or a is ZERO:
+        return a
+    return neg(oplus(_neg(a), _neg(b)))
 
 
 def ominus(a: Term, b: Term) -> Term:
-    return otimes(a, neg(b))
+    if b is ZERO:
+        return a
+    if a is ZERO or b is ONE:
+        return ZERO
+    if a is ONE:
+        return _neg(b)
+    return neg(oplus(_neg(a), b))
 
 
 def vee(a: Term, b: Term) -> Term:
+    if a is ZERO or b is ONE:
+        return b
+    if b is ZERO or a is ONE:
+        return a
     return oplus(ominus(a, b), b)
 
 
 def wedge(a: Term, b: Term) -> Term:
-    return neg(vee(neg(a), neg(b)))
+    return _neg(vee(_neg(a), _neg(b)))
 
 
 def dist(a: Term, b: Term) -> Term:
@@ -152,7 +192,8 @@ _DERIVED: dict[str, Callable[[Term, Term], Term]] = {
 
 
 def expand_derived(connective: str, args: Sequence[Term]) -> Term:
-    """Expand a derived connective into a core term."""
+    """Expand a derived connective into a core term, folding constants
+    and double negations as the module docstring lists."""
     fn = _DERIVED.get(connective)
     if fn is None:
         raise ValueError(f"unknown derived connective {connective!r}")
@@ -225,7 +266,8 @@ _OPS = {"var", "neg", "oplus", "otimes", "ominus", "wedge", "vee", "dist"}
 
 
 def parse_term(text: str) -> Term:
-    """Parse the term grammar; derived connectives expand to core nodes.
+    """Parse the term grammar; derived connectives expand to core nodes
+    (folded, see `expand_derived`), core connectives stay literal.
 
     Grammar (whitespace-insensitive between tokens)::
 

@@ -65,8 +65,19 @@ the clamp median(0, g, 1) before it halved even coefficients: it peels
 one unit of coefficient mass per step with
 ``clamp(g + x) = clamp(g) (+) (x (.) clamp(g + 1))`` (and ``-x`` through
 ``g - x = (g - 1) + (1 - x)``), so its tree roughly doubles with each
-unit of mass.  It keeps its own memo and certifies nothing.  The
-library's term must be function-equal to it and never larger as a tree.
+unit of mass.  It keeps its own memo and certifies nothing, and it
+builds with the unfolded connectives below, so it gives the same terms
+it gave as the library's construction.  The library's term must be
+function-equal to it and never larger as a tree.
+
+``otimes_unfolded``, ``ominus_unfolded``, ``vee_unfolded``,
+``wedge_unfolded`` and ``dist_unfolded`` are the derived connectives of
+``mvsynth.terms`` as they expanded before they folded constants and
+double negations: ``a (.) b = -(-a (+) -b)``, ``a (-) b = a (.) -b``,
+``a \\/ b = (a (-) b) (+) b``, ``a /\\ b = -(-a \\/ -b)`` and
+``dist(a, b) = (a (-) b) (+) (b (-) a)``, every node built literally.
+The library's connectives must be function-equal to them and never
+larger as a tree.
 """
 
 from __future__ import annotations
@@ -135,7 +146,6 @@ from mvsynth.terms import (
     neg,
     ominus,
     oplus,
-    otimes,
     var,
     wedge,
 )
@@ -1105,6 +1115,26 @@ def select_constituent_lp(description: PwlExpr) -> dict[tuple[int, ...], int]:
     return selections
 
 
+def otimes_unfolded(a: Term, b: Term) -> Term:
+    return neg(oplus(neg(a), neg(b)))
+
+
+def ominus_unfolded(a: Term, b: Term) -> Term:
+    return otimes_unfolded(a, neg(b))
+
+
+def vee_unfolded(a: Term, b: Term) -> Term:
+    return oplus(ominus_unfolded(a, b), b)
+
+
+def wedge_unfolded(a: Term, b: Term) -> Term:
+    return neg(vee_unfolded(neg(a), neg(b)))
+
+
+def dist_unfolded(a: Term, b: Term) -> Term:
+    return oplus(ominus_unfolded(a, b), ominus_unfolded(b, a))
+
+
 _UNIT_PEEL_MEMO: dict[tuple, Term] = {}
 
 
@@ -1144,7 +1174,7 @@ def _build_unit_peel(c0: int, coeffs: tuple[int, ...]) -> Term:
                 stack += (high, low)  # low is built first
                 continue
             literal = var(i + 1) if step > 0 else neg(var(i + 1))
-            term = oplus(memo[low], otimes(literal, memo[high]))
+            term = oplus(memo[low], otimes_unfolded(literal, memo[high]))
         memo[key] = term
         stack.pop()
     return memo[root]

@@ -18,6 +18,7 @@ from mvsynth.crt import (
     _matches_on_zero_set,
 )
 from mvsynth.geometry import Cell
+from mvsynth.terms import Neg, _fold
 from conftest import (
     build_corpus,
     clamp_description,
@@ -427,9 +428,11 @@ def test_chinese_glue_merges_by_term(corpus_traces):
 
 
 def test_glued_size_is_linear_in_the_arms(corpus_traces):
-    # An arm a - m*G has |a| + m*|G| + m + 4 nodes (the iterate adds m - 1
-    # oplus nodes); each vee adds 6 nodes and its right arm twice, so the
-    # join has at most 2 * sum(|arm| + 3) nodes.
+    # a - b is neg(oplus(neg(a), b)) with neg(neg(a)) folded to a, so it
+    # adds at most 3 nodes, and an arm a - m*G has at most
+    # |a| + m*|G| + m + 2 (the iterate adds m - 1 oplus nodes).  A vee
+    # adds at most 4 nodes and its right arm twice, so the join has at
+    # most 2 * sum(|arm| + 2) nodes.
     for term, trace in corpus_traces:
         if not trace.combines:
             continue
@@ -439,10 +442,39 @@ def test_glued_size_is_linear_in_the_arms(corpus_traces):
             bound[r.right] = max(bound.get(r.right, 1), r.bound_right)
         size = mv.term_node_count
         total = sum(
-            size(a) + bound[a] * (size(ideal.generator) + 1) + 7
+            size(a) + bound[a] * (size(ideal.generator) + 1) + 4
             for a, ideal in _arms(trace.groups).items()
         )
         assert size(term) <= 2 * total
+
+
+def _redundant_negations(term):
+    """The distinct nodes of ``term`` that negate a negation or a constant."""
+    found = []
+
+    def step(node, _):
+        if isinstance(node, Neg) and (
+            isinstance(node.child, Neg) or node.child in (mv.ZERO, mv.ONE)
+        ):
+            found.append(node)
+
+    _fold(term, step)
+    return found
+
+
+def test_outputs_fold_double_negations_and_negated_constants(
+    corpus_entries, corpus_traces
+):
+    # The derived connectives fold neg(neg(t)) to t and neg of a constant
+    # to the other constant, so no output of either compiler holds one.
+    outputs = [term for term, _ in corpus_traces]
+    outputs += [mv.synthesize_direct(description) for _, description in corpus_entries]
+    for seed in range(6):
+        for k in (3, 4):
+            description = random_description(random.Random(f"fold-{seed}"), 3, k)
+            outputs += [mv.synthesize_crt(description), mv.synthesize_direct(description)]
+    for term in outputs:
+        assert not _redundant_negations(term), _redundant_negations(term)[0]
 
 
 def test_glue_matches_paper_reference(corpus_entries, corpus_traces):

@@ -8,6 +8,13 @@ import pytest
 
 import mvsynth as mv
 from conftest import farey_values, random_point, random_term
+from oracles import (
+    dist_unfolded,
+    ominus_unfolded,
+    otimes_unfolded,
+    vee_unfolded,
+    wedge_unfolded,
+)
 
 F = Fraction
 X, Y, Z = mv.var(1), mv.var(2), mv.var(3)
@@ -51,6 +58,43 @@ def test_derived_expansions_are_core_only():
         text = mv.print_term(build(X, Y))
         for sugar in ("otimes", "ominus", "wedge", "vee", "dist"):
             assert sugar not in text
+
+
+def _connective_operands():
+    # The constants, x, its negation and double negation, and Neg-rooted
+    # draws (whose child may itself be a negation or a constant).
+    rng = random.Random(34)
+    draws = [mv.neg(random_term(rng, 2, rng.randint(0, 3))) for _ in range(6)]
+    return [mv.ZERO, mv.ONE, X, mv.neg(X), mv.neg(mv.neg(X))] + draws
+
+
+@pytest.mark.parametrize(
+    "build, unfolded",
+    [
+        (mv.otimes, otimes_unfolded),
+        (mv.ominus, ominus_unfolded),
+        (mv.vee, vee_unfolded),
+        (mv.wedge, wedge_unfolded),
+        (mv.dist, dist_unfolded),
+    ],
+)
+def test_derived_connectives_fold_without_changing_the_function(build, unfolded):
+    operands = _connective_operands()
+    for a in operands:
+        for b in operands:
+            folded, reference = build(a, b), unfolded(a, b)
+            assert mv.function_eq(folded, reference, 2), (a, b)
+            assert mv.term_node_count(folded) <= mv.term_node_count(reference), (a, b)
+
+
+def test_derived_connectives_fold_constants_and_double_negations():
+    assert mv.otimes(X, mv.ONE) is X
+    assert mv.otimes(mv.ZERO, X) is mv.ZERO
+    assert mv.ominus(mv.ONE, mv.neg(X)) is X
+    assert mv.ominus(X, mv.ONE) is mv.ZERO
+    assert mv.ominus(mv.neg(X), Y) is mv.neg(mv.oplus(X, Y))
+    assert mv.vee(X, mv.ZERO) is X
+    assert mv.wedge(mv.neg(X), mv.neg(Y)) is mv.neg(mv.vee(X, Y))
 
 
 def test_iterate_oplus():
@@ -101,6 +145,20 @@ def test_parse_sugar_expands():
     assert mv.parse_term("(wedge (var 1) (var 2))") is mv.wedge(X, Y)
     assert mv.parse_term("(dist (var 1) (var 2))") is mv.dist(X, Y)
     assert mv.parse_term("(neg 0)") is mv.neg(mv.ZERO)
+
+
+def test_parse_sugar_folds_constants():
+    assert mv.parse_term("(ominus (var 1) 0)") is mv.var(1)
+    assert mv.parse_term("(wedge (var 1) 1)") is mv.var(1)
+    assert mv.parse_term("(vee 0 (var 2))") is mv.var(2)
+
+
+def test_core_text_is_never_rewritten():
+    text = "(neg (neg (var 1)))"
+    t = mv.parse_term(text)
+    assert t is mv.neg(mv.neg(X)) and t is not X
+    assert mv.print_term(t) == text
+    assert mv.parse_term("(oplus (var 1) 0)") is mv.oplus(X, mv.ZERO)
 
 
 def test_parse_whitespace_insensitive():
